@@ -26,7 +26,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 import requests
 
-from .errors import BackendUnavailableError, ConfigError, ReplayGapError
+from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number
 
 BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
@@ -35,34 +35,45 @@ INTERACTION_TABLE_HEADER = "round,your_guess,neighbor_guess"
 
 
 @dataclass(frozen=True)
-class DecodeParams:
+class DecodeParams(Checked):
     """Sampling parameters forwarded to generative backends."""
 
     temperature: float = 0.7
     max_tokens: int = 64
 
-    def validate(self) -> None:
-        if not isinstance(self.temperature, (int, float)) or self.temperature < 0:
-            raise ConfigError("decode.temperature", f"must be >= 0, got {self.temperature!r}")
-        if not isinstance(self.max_tokens, int) or self.max_tokens < 1:
-            raise ConfigError("decode.max_tokens", f"must be a positive integer, got {self.max_tokens!r}")
+    def violations(self) -> list[ConfigError]:
+        found = []
+        if not is_number(self.temperature) or self.temperature < 0:
+            found.append(ConfigError("decode.temperature", f"must be >= 0, got {self.temperature!r}"))
+        if not is_integer(self.max_tokens) or self.max_tokens < 1:
+            found.append(ConfigError("decode.max_tokens", f"must be a positive integer, got {self.max_tokens!r}"))
+        return found
 
 
 @dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Checked):
     """Identity plus the strategy that produces this agent's responses."""
 
     agent_id: int
     backend: str
     backend_params: Mapping = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def violations(self) -> list[ConfigError]:
+        """Checks the backend parameters by constructing the backend; a
+        replay agent's transcript is only checked for being a path."""
         where = f"agents[{self.agent_id}]"
-        if not isinstance(self.agent_id, int) or self.agent_id < 0:
-            raise ConfigError(f"{where}.agent_id", "must be a non-negative integer")
+        if not is_integer(self.agent_id) or self.agent_id < 0:
+            return [ConfigError(f"{where}.agent_id", f"must be a non-negative integer, got {self.agent_id!r}")]
         if self.backend not in BACKEND_KINDS:
-            raise ConfigError(f"{where}.backend", f"must be one of {BACKEND_KINDS}, got {self.backend!r}")
-        build_backend(self, _validate_only=True)
+            return [ConfigError(f"{where}.backend", f"must be one of {BACKEND_KINDS}, got {self.backend!r}")]
+        try:
+            if self.backend == "replay":
+                _replay_source(self)
+            else:
+                build_backend(self)
+        except ConfigError as err:
+            return [err]
+        return []
 
 
 @dataclass(frozen=True)
@@ -153,8 +164,14 @@ class MockBackend:
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
+        if lexicon is not None and not (
+            isinstance(lexicon, (list, tuple)) and all(isinstance(word, str) for word in lexicon)
+        ):
+            raise ConfigError("backend_params.lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
+        if not isinstance(strategy, str):
+            raise ConfigError("backend_params.strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
             self._constant = strategy[len("constant:"):]
             if not self._constant:
@@ -221,17 +238,27 @@ class RemoteBackend:
         max_in_flight: int = 8,
         session: requests.Session | None = None,
     ):
-        if not base_url:
+        if not isinstance(base_url, str) or not base_url:
             raise ConfigError("backend_params.base_url", "remote backend requires a base_url")
-        if not model:
+        if not isinstance(model, str) or not model:
             raise ConfigError("backend_params.model", "remote backend requires a model name")
+        if not isinstance(api_key_env, str) or not api_key_env:
+            raise ConfigError("backend_params.api_key_env", "must be a nonempty environment variable name")
+        if not is_number(timeout) or timeout <= 0:
+            raise ConfigError("backend_params.timeout", f"must be a number > 0, got {timeout!r}")
+        if not is_integer(max_retries) or max_retries < 1:
+            raise ConfigError("backend_params.max_retries", f"must be a positive integer, got {max_retries!r}")
+        if not is_number(backoff) or backoff < 0:
+            raise ConfigError("backend_params.backoff", f"must be a number >= 0, got {backoff!r}")
+        if not is_integer(max_in_flight) or max_in_flight < 1:
+            raise ConfigError("backend_params.max_in_flight", f"must be a positive integer, got {max_in_flight!r}")
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._model = model
         self._api_key_env = api_key_env
         self._timeout = timeout
-        self._max_retries = max(1, int(max_retries))
+        self._max_retries = max_retries
         self._backoff = backoff
-        self._gate = threading.BoundedSemaphore(max(1, int(max_in_flight)))
+        self._gate = threading.BoundedSemaphore(max_in_flight)
         self._session = session or requests.Session()
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
@@ -275,40 +302,36 @@ def _first_choice_text(data: dict) -> str:
     raise ValueError("response carries no choice text")
 
 
-def build_backend(spec: AgentSpec, *, _validate_only: bool = False) -> Backend | None:
-    """Construct the backend an AgentSpec describes."""
-    params = dict(spec.backend_params)
-    where = f"agents[{spec.agent_id}].backend_params"
-    if spec.backend == "mock":
-        strategy = params.get("strategy")
-        if not isinstance(strategy, str):
-            raise ConfigError(f"{where}.strategy", "mock backend requires a strategy string")
-        return MockBackend(strategy, lexicon=params.get("lexicon"))
-    if spec.backend == "replay":
-        source = params.get("transcript")
-        if not isinstance(source, str) or not source:
-            raise ConfigError(f"{where}.transcript", "replay backend requires a transcript path")
-        if _validate_only:
-            return None
-        return ReplayBackend.from_transcript(source)
-    if spec.backend == "remote":
-        base_url = params.get("base_url")
-        model = params.get("model")
-        if not isinstance(base_url, str) or not base_url:
-            raise ConfigError(f"{where}.base_url", "remote backend requires a base_url")
-        if not isinstance(model, str) or not model:
-            raise ConfigError(f"{where}.model", "remote backend requires a model name")
-        if _validate_only:
-            return None
-        return RemoteBackend(
-            base_url,
-            model,
-            api_key_env=params.get("api_key_env", API_KEY_ENV),
-            timeout=params.get("timeout", 60.0),
-            max_retries=params.get("max_retries", 3),
-            backoff=params.get("backoff", 1.0),
-            max_in_flight=params.get("max_in_flight", 8),
+def _replay_source(spec: AgentSpec) -> str:
+    source = spec.backend_params.get("transcript")
+    if not isinstance(source, str) or not source:
+        raise ConfigError(
+            f"agents[{spec.agent_id}].backend_params.transcript", "replay backend requires a transcript path"
         )
+    return source
+
+
+def build_backend(spec: AgentSpec) -> Backend:
+    """Construct the backend an AgentSpec describes. Each constructor checks
+    its own parameters; their field paths gain this agent's prefix."""
+    params = spec.backend_params
+    if spec.backend == "replay":
+        return ReplayBackend.from_transcript(_replay_source(spec))
+    try:
+        if spec.backend == "mock":
+            return MockBackend(params.get("strategy"), lexicon=params.get("lexicon"))
+        if spec.backend == "remote":
+            return RemoteBackend(
+                params.get("base_url"),
+                params.get("model"),
+                api_key_env=params.get("api_key_env", API_KEY_ENV),
+                timeout=params.get("timeout", 60.0),
+                max_retries=params.get("max_retries", 3),
+                backoff=params.get("backoff", 1.0),
+                max_in_flight=params.get("max_in_flight", 8),
+            )
+    except ConfigError as err:
+        raise ConfigError(f"agents[{spec.agent_id}].{err.field}", err.message) from None
     raise ConfigError(f"agents[{spec.agent_id}].backend", f"unknown backend {spec.backend!r}")
 
 
@@ -318,19 +341,10 @@ def build_backends(specs: Sequence[AgentSpec]) -> dict[int, Backend]:
     backends: dict[int, Backend] = {}
     for spec in specs:
         if spec.backend == "replay":
-            path = str(spec.backend_params.get("transcript", ""))
+            path = _replay_source(spec)
             if path not in replay_sources:
                 replay_sources[path] = ReplayBackend.from_transcript(path)
             backends[spec.agent_id] = replay_sources[path]
         else:
-            backend = build_backend(spec)
-            assert backend is not None
-            backends[spec.agent_id] = backend
+            backends[spec.agent_id] = build_backend(spec)
     return backends
-
-
-def respond(spec: AgentSpec, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
-    """One-shot convenience: build the backend for ``spec`` and query it."""
-    backend = build_backend(spec)
-    assert backend is not None
-    return backend.respond(req, rng)

@@ -26,16 +26,20 @@ from .engine import (
     run_simulation,
 )
 from .errors import (
+    Checked,
     ConfigError,
     EmbedderUnavailableError,
     HashnetError,
     MetricError,
     NarrativeLoadError,
     TranscriptError,
+    is_integer,
+    is_number,
 )
 from .metrics import (
     DEDUP_POLICIES,
     TOKENIZATION_MODES,
+    VALUE_FORMAT,
     HashingEmbedder,
     OneHotEmbedder,
     RemoteEmbedder,
@@ -61,6 +65,7 @@ EXIT_IO = 2
 DEFAULT_TOPOLOGY = {"n": 20, "k": 4, "p": 0.1}
 DEFAULT_ROUNDS = 40
 DEFAULT_NARRATIVE = "bundled:fukushima"
+DEFAULT_EMBEDDING = {"provider": "hashing", "dim": 256}
 
 _TOP_LEVEL_KEYS = {
     "seed", "rounds", "topology", "agents", "narrative", "decode",
@@ -70,14 +75,46 @@ _EMBEDDING_PROVIDERS = ("onehot", "hashing", "remote")
 
 
 @dataclass
-class MetricsSettings:
+class MetricsSettings(Checked):
     """Resolved metrics section of a config document."""
 
     reference_corpus: Path | None = None
     tokenization: str = "hashtag"
     entropy_base: float = 2.0
     dedup: str = "per_response"
-    embedding: dict = field(default_factory=lambda: {"provider": "hashing", "dim": 256})
+    embedding: dict = field(default_factory=lambda: dict(DEFAULT_EMBEDDING))
+
+    def violations(self) -> list[ConfigError]:
+        found = []
+        if self.tokenization not in TOKENIZATION_MODES:
+            found.append(ConfigError("metrics.tokenization", f"must be one of {TOKENIZATION_MODES}"))
+        if self.dedup not in DEDUP_POLICIES:
+            found.append(ConfigError("metrics.dedup", f"must be one of {DEDUP_POLICIES}"))
+        if not is_number(self.entropy_base) or self.entropy_base <= 1:
+            found.append(ConfigError("metrics.entropy_base", f"must be a number > 1, got {self.entropy_base!r}"))
+        if self.embedding.get("provider", "hashing") not in _EMBEDDING_PROVIDERS:
+            found.append(ConfigError("metrics.embedding.provider", f"must be one of {_EMBEDDING_PROVIDERS}"))
+        else:
+            try:
+                self.embedder()
+            except ConfigError as err:
+                found.append(ConfigError(f"metrics.embedding.{err.field}", err.message))
+        return found
+
+    def embedder(self):
+        embedding = self.embedding
+        provider = embedding.get("provider", "hashing")
+        if provider == "onehot":
+            return OneHotEmbedder(dim=embedding.get("dim", 4096))
+        if provider == "hashing":
+            return HashingEmbedder(dim=embedding.get("dim", 256))
+        return RemoteEmbedder(
+            embedding.get("base_url"),
+            embedding.get("model"),
+            api_key_env=embedding.get("api_key_env", "HASHNET_API_KEY"),
+            timeout=embedding.get("timeout", 60.0),
+            max_retries=embedding.get("max_retries", 3),
+        )
 
 
 @dataclass
@@ -91,159 +128,6 @@ class LoadedConfig:
 def _resolve(base_dir: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base_dir / path
-
-
-def _expand_agents(doc: dict, n: int) -> list[dict]:
-    spec = doc.get("agents")
-    if isinstance(spec, dict):
-        count = spec.get("count", n)
-        return [
-            {"agent_id": i, "backend": spec.get("backend"), "params": spec.get("params", {})}
-            for i in range(count if isinstance(count, int) and count > 0 else 0)
-        ]
-    if isinstance(spec, list):
-        return [
-            {
-                "agent_id": entry.get("agent_id", i) if isinstance(entry, dict) else i,
-                "backend": entry.get("backend") if isinstance(entry, dict) else None,
-                "params": entry.get("params", {}) if isinstance(entry, dict) else {},
-            }
-            for i, entry in enumerate(spec)
-        ]
-    return []
-
-
-def validate_config(doc: dict, base_dir: Path) -> list[tuple[str, str]]:
-    """Full schema and cross-field validation; returns every violation as
-    (field path, message) rather than stopping at the first."""
-    violations: list[tuple[str, str]] = []
-    if not isinstance(doc, dict):
-        return [("$", "config document must be a JSON object")]
-
-    for key in doc:
-        if key not in _TOP_LEVEL_KEYS:
-            violations.append((key, "unknown field"))
-
-    def check(field_path: str, fn) -> None:
-        try:
-            fn()
-        except ConfigError as err:
-            violations.append((err.field, err.message))
-        except (TypeError, ValueError) as err:
-            violations.append((field_path, str(err)))
-
-    topology_doc = doc.get("topology", DEFAULT_TOPOLOGY)
-    if not isinstance(topology_doc, dict):
-        violations.append(("topology", "must be an object"))
-        topology_doc = DEFAULT_TOPOLOGY
-    topology = TopologySpec(
-        n=topology_doc.get("n", DEFAULT_TOPOLOGY["n"]),
-        k=topology_doc.get("k", DEFAULT_TOPOLOGY["k"]),
-        p=topology_doc.get("p", DEFAULT_TOPOLOGY["p"]),
-        seed=topology_doc.get("seed"),
-    )
-    check("topology", topology.validate)
-
-    rounds = doc.get("rounds", DEFAULT_ROUNDS)
-    if not isinstance(rounds, int) or rounds < 1:
-        violations.append(("rounds", f"must be a positive integer, got {rounds!r}"))
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-        violations.append(("seed", f"must be an unsigned 64-bit integer, got {seed!r}"))
-
-    parallelism = doc.get("parallelism", 1)
-    if not isinstance(parallelism, int) or parallelism < 1:
-        violations.append(("parallelism", f"must be a positive integer, got {parallelism!r}"))
-
-    match_on = doc.get("match_on", "normalized")
-    if match_on not in ("normalized", "raw"):
-        violations.append(("match_on", f"must be 'normalized' or 'raw', got {match_on!r}"))
-
-    decode_doc = doc.get("decode", {})
-    if not isinstance(decode_doc, dict):
-        violations.append(("decode", "must be an object"))
-        decode_doc = {}
-    decode = DecodeParams(
-        temperature=decode_doc.get("temperature", 0.7),
-        max_tokens=decode_doc.get("max_tokens", 64),
-    )
-    check("decode", decode.validate)
-
-    if "agents" not in doc:
-        violations.append(("agents", "missing required section"))
-    else:
-        entries = _expand_agents(doc, topology.n if isinstance(topology.n, int) else 0)
-        if not entries:
-            violations.append(("agents", "must be a spec object or a nonempty list"))
-        elif isinstance(topology.n, int) and len(entries) != topology.n:
-            violations.append(
-                ("agents", f"agent count {len(entries)} must equal topology.n {topology.n}")
-            )
-        for entry in entries:
-            spec = AgentSpec(
-                agent_id=entry["agent_id"],
-                backend=entry["backend"] if isinstance(entry["backend"], str) else "",
-                backend_params=entry["params"] if isinstance(entry["params"], dict) else {},
-            )
-            check(f"agents[{entry['agent_id']}]", spec.validate)
-            if spec.backend == "replay":
-                source = spec.backend_params.get("transcript")
-                if isinstance(source, str) and not _resolve(base_dir, source).is_file():
-                    violations.append(
-                        (f"agents[{entry['agent_id']}].backend_params.transcript",
-                         f"replay transcript not found: {source}")
-                    )
-
-    narrative_ref = doc.get("narrative", DEFAULT_NARRATIVE)
-    if not isinstance(narrative_ref, str) or not narrative_ref:
-        violations.append(("narrative", "must be a nonempty string"))
-    else:
-        try:
-            load_narrative(_narrative_target(narrative_ref, base_dir))
-        except NarrativeLoadError as err:
-            violations.append((f"narrative.{err.field}" if err.field != "$" else "narrative", err.message))
-
-    metrics_doc = doc.get("metrics", {})
-    if not isinstance(metrics_doc, dict):
-        violations.append(("metrics", "must be an object"))
-        metrics_doc = {}
-    corpus = metrics_doc.get("reference_corpus")
-    if corpus is not None:
-        if not isinstance(corpus, str):
-            violations.append(("metrics.reference_corpus", "must be a path string"))
-        elif not _resolve(base_dir, corpus).is_file():
-            violations.append(("metrics.reference_corpus", f"file not found: {corpus}"))
-    tokenization = metrics_doc.get("tokenization", "hashtag")
-    if tokenization not in TOKENIZATION_MODES:
-        violations.append(("metrics.tokenization", f"must be one of {TOKENIZATION_MODES}"))
-    dedup = metrics_doc.get("dedup", "per_response")
-    if dedup not in DEDUP_POLICIES:
-        violations.append(("metrics.dedup", f"must be one of {DEDUP_POLICIES}"))
-    base = metrics_doc.get("entropy_base", 2)
-    if not isinstance(base, (int, float)) or base <= 1:
-        violations.append(("metrics.entropy_base", f"must be a number > 1, got {base!r}"))
-    embedding = metrics_doc.get("embedding", {})
-    if not isinstance(embedding, dict):
-        violations.append(("metrics.embedding", "must be an object"))
-    else:
-        provider = embedding.get("provider", "hashing")
-        if provider not in _EMBEDDING_PROVIDERS:
-            violations.append(("metrics.embedding.provider", f"must be one of {_EMBEDDING_PROVIDERS}"))
-        elif provider == "remote":
-            for key in ("base_url", "model"):
-                if not isinstance(embedding.get(key), str) or not embedding.get(key):
-                    violations.append((f"metrics.embedding.{key}", "required for the remote provider"))
-
-    output_doc = doc.get("output", {})
-    if not isinstance(output_doc, dict):
-        violations.append(("output", "must be an object"))
-    else:
-        for key in ("transcript", "metrics_dir"):
-            if key in output_doc and not isinstance(output_doc[key], str):
-                violations.append((f"output.{key}", "must be a path string"))
-
-    return violations
 
 
 def _narrative_target(narrative_ref: str, base_dir: Path) -> str:
@@ -266,78 +150,145 @@ def load_config(path: Path) -> tuple[dict, Path]:
     return doc, path.resolve().parent
 
 
-def build_config(doc: dict, base_dir: Path, args: argparse.Namespace) -> LoadedConfig:
-    """Turn a validated document into a RunConfig plus metrics settings,
-    applying CLI overrides."""
-    topology_doc = doc.get("topology", DEFAULT_TOPOLOGY)
+def _parse(
+    doc: dict, base_dir: Path, args: argparse.Namespace | None
+) -> tuple[LoadedConfig | None, list[tuple[str, str]]]:
+    """The one config parser behind every subcommand.
+
+    Builds each config object once and returns it with every violation
+    found, as (field path, message) pairs. The objects check their own
+    values; this function checks only the document's shape: unknown keys,
+    sections that are not objects, the ``agents`` expansion, paths that
+    must exist, and whether the narrative loads. CLI overrides in ``args``
+    are applied before the checks.
+    """
+    if not isinstance(doc, dict):
+        return None, [("$", "config document must be a JSON object")]
+    violations = [(key, "unknown field") for key in doc if key not in _TOP_LEVEL_KEYS]
+
+    def section(parent: dict, name: str, path: str, default: dict | None = None) -> dict:
+        value = parent.get(name, {} if default is None else default)
+        if isinstance(value, dict):
+            return value
+        violations.append((path, "must be an object"))
+        return {}
+
+    topology_doc = section(doc, "topology", "topology")
     topology = TopologySpec(
         n=topology_doc.get("n", DEFAULT_TOPOLOGY["n"]),
         k=topology_doc.get("k", DEFAULT_TOPOLOGY["k"]),
         p=topology_doc.get("p", DEFAULT_TOPOLOGY["p"]),
         seed=topology_doc.get("seed"),
     )
-    agents = []
-    for entry in _expand_agents(doc, topology.n):
-        params = dict(entry["params"])
-        if entry["backend"] == "replay" and isinstance(params.get("transcript"), str):
-            params["transcript"] = str(_resolve(base_dir, params["transcript"]))
-        agents.append(AgentSpec(agent_id=entry["agent_id"], backend=entry["backend"], backend_params=params))
 
-    decode_doc = doc.get("decode", {})
+    agents_doc = doc.get("agents")
+    if isinstance(agents_doc, dict):
+        count = agents_doc.get("count", topology.n)
+        if not is_integer(count) or count < 1:
+            if "count" in agents_doc:
+                violations.append(("agents.count", f"must be a positive integer, got {count!r}"))
+            count = 0
+        entries = [dict(agents_doc, agent_id=i) for i in range(count)]
+    elif isinstance(agents_doc, list):
+        entries = [
+            dict({"agent_id": i}, **entry) if isinstance(entry, dict) else {"agent_id": i, "backend": entry}
+            for i, entry in enumerate(agents_doc)
+        ]
+    else:
+        violations.append(
+            ("agents", "missing required section" if agents_doc is None else "must be a spec object or a list")
+        )
+        entries = []
+    agents = []
+    for entry in entries:
+        params = section(entry, "params", f"agents[{entry['agent_id']}].params")
+        source = params.get("transcript") if entry.get("backend") == "replay" else None
+        if isinstance(source, str) and source:
+            resolved = _resolve(base_dir, source)
+            if not resolved.is_file():
+                violations.append(
+                    (f"agents[{entry['agent_id']}].backend_params.transcript", f"replay transcript not found: {source}")
+                )
+            params = dict(params, transcript=str(resolved))
+        agents.append(AgentSpec(entry["agent_id"], entry.get("backend"), params))
+
+    narrative_ref = doc.get("narrative", DEFAULT_NARRATIVE)
+    if isinstance(narrative_ref, str) and narrative_ref:
+        narrative_ref = _narrative_target(narrative_ref, base_dir)
+        try:
+            load_narrative(narrative_ref)
+        except NarrativeLoadError as err:
+            violations.append((f"narrative.{err.field}" if err.field != "$" else "narrative", err.message))
+
+    decode_doc = section(doc, "decode", "decode")
+    overrides = {
+        key: getattr(args, key) for key in ("seed", "parallelism") if getattr(args, key, None) is not None
+    }
     run = RunConfig(
         topology=topology,
         rounds=doc.get("rounds", DEFAULT_ROUNDS),
         agents=tuple(agents),
-        narrative_path=_narrative_target(doc.get("narrative", DEFAULT_NARRATIVE), base_dir),
+        narrative_path=narrative_ref,
         decode=DecodeParams(
             temperature=decode_doc.get("temperature", 0.7),
             max_tokens=decode_doc.get("max_tokens", 64),
         ),
-        parallelism=(
-            args.parallelism
-            if getattr(args, "parallelism", None) is not None
-            else doc.get("parallelism", 1)
-        ),
-        seed=args.seed if getattr(args, "seed", None) is not None else doc.get("seed", 0),
+        parallelism=overrides.get("parallelism", doc.get("parallelism", 1)),
+        seed=overrides.get("seed", doc.get("seed", 0)),
         run_id=doc.get("run_id"),
         match_on=doc.get("match_on", "normalized"),
     )
 
-    metrics_doc = doc.get("metrics", {})
+    metrics_doc = section(doc, "metrics", "metrics")
     corpus = metrics_doc.get("reference_corpus")
+    if corpus is not None and not isinstance(corpus, str):
+        violations.append(("metrics.reference_corpus", "must be a path string"))
+    elif corpus is not None and not _resolve(base_dir, corpus).is_file():
+        violations.append(("metrics.reference_corpus", f"file not found: {corpus}"))
+    entropy_base = metrics_doc.get("entropy_base", 2)
     settings = MetricsSettings(
         reference_corpus=_resolve(base_dir, corpus) if isinstance(corpus, str) else None,
         tokenization=metrics_doc.get("tokenization", "hashtag"),
-        entropy_base=float(metrics_doc.get("entropy_base", 2)),
+        entropy_base=float(entropy_base) if is_number(entropy_base) else entropy_base,
         dedup=metrics_doc.get("dedup", "per_response"),
-        embedding=dict(metrics_doc.get("embedding", {"provider": "hashing", "dim": 256})),
+        embedding=dict(section(metrics_doc, "embedding", "metrics.embedding", DEFAULT_EMBEDDING)),
     )
 
-    output_doc = doc.get("output", {})
-    transcript_out = output_doc.get("transcript")
-    metrics_dir = output_doc.get("metrics_dir")
-    return LoadedConfig(
-        run=run,
-        metrics=settings,
-        transcript_out=_resolve(base_dir, transcript_out) if isinstance(transcript_out, str) else None,
-        metrics_dir=_resolve(base_dir, metrics_dir) if isinstance(metrics_dir, str) else None,
-    )
+    output_doc = section(doc, "output", "output")
+    outputs = {}
+    for key in ("transcript", "metrics_dir"):
+        value = output_doc.get(key)
+        if value is not None and not isinstance(value, str):
+            violations.append((f"output.{key}", "must be a path string"))
+        outputs[key] = _resolve(base_dir, value) if isinstance(value, str) else None
+
+    violations += [(err.field, err.message) for err in run.violations() + settings.violations()]
+    loaded = LoadedConfig(run, settings, transcript_out=outputs["transcript"], metrics_dir=outputs["metrics_dir"])
+    return loaded, violations
 
 
-def _build_embedder(settings: MetricsSettings):
-    embedding = settings.embedding
-    provider = embedding.get("provider", "hashing")
-    if provider == "onehot":
-        return OneHotEmbedder(dim=embedding.get("dim", 4096))
-    if provider == "hashing":
-        return HashingEmbedder(dim=embedding.get("dim", 256))
-    return RemoteEmbedder(
-        embedding.get("base_url", ""),
-        embedding.get("model", ""),
-        api_key_env=embedding.get("api_key_env", "HASHNET_API_KEY"),
-        timeout=embedding.get("timeout", 60.0),
-        max_retries=embedding.get("max_retries", 3),
-    )
+def validate_config(doc: dict, base_dir: Path) -> list[tuple[str, str]]:
+    """Every violation in a config document, as (field path, message),
+    rather than stopping at the first."""
+    return _parse(doc, base_dir, None)[1]
+
+
+def build_config(doc: dict, base_dir: Path, args: argparse.Namespace) -> LoadedConfig:
+    """Turn a document into a RunConfig plus metrics settings, applying CLI
+    overrides; raises ``InvalidConfig`` listing every violation."""
+    loaded, violations = _parse(doc, base_dir, args)
+    if violations:
+        raise InvalidConfig(violations)
+    return loaded
+
+
+class InvalidConfig(HashnetError):
+    """A config document failed validation; ``violations`` lists every
+    (field path, message) pair."""
+
+    def __init__(self, violations: list[tuple[str, str]]):
+        super().__init__("; ".join(f"{field_path}: {message}" for field_path, message in violations))
+        self.violations = violations
 
 
 class _ValidationFailure(HashnetError):
@@ -355,23 +306,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     doc, base_dir = load_config(Path(args.config))
     violations = validate_config(doc, base_dir)
     if violations:
-        print(f"invalid: {len(violations)} violation(s) in {args.config}")
-        for field_path, message in violations:
-            print(f"  {field_path}: {message}")
-        return EXIT_INVALID
+        raise InvalidConfig(violations)
     print(f"ok: {args.config}")
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    doc, base_dir = load_config(Path(args.config))
-    violations = validate_config(doc, base_dir)
-    if violations:
-        print(f"invalid: {len(violations)} violation(s); run `hashnet validate` for details")
-        for field_path, message in violations:
-            print(f"  {field_path}: {message}")
-        return EXIT_INVALID
-    loaded = build_config(doc, base_dir, args)
+    loaded = build_config(*load_config(Path(args.config)), args)
 
     if args.out:
         out_path = Path(args.out) / "transcript.jsonl"
@@ -447,7 +388,7 @@ def _metric_outputs(
                 )
             )
         try:
-            alignment = align_hashtags(hashtags, narrative, _build_embedder(settings))
+            alignment = align_hashtags(hashtags, narrative, settings.embedder())
             write_alignment_csv(alignment, out_dir / "alignment.csv")
             statuses["alignment"] = "computed"
         except EmbedderUnavailableError as err:
@@ -478,12 +419,7 @@ def _metric_outputs(
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    doc, base_dir = load_config(Path(args.config))
-    violations = validate_config(doc, base_dir)
-    if violations:
-        print(f"invalid: {len(violations)} violation(s); run `hashnet validate` for details")
-        return EXIT_INVALID
-    loaded = build_config(doc, base_dir, args)
+    loaded = build_config(*load_config(Path(args.config)), args)
     transcript_path = Path(args.transcript)
     if not transcript_path.is_file():
         raise _IOFailure(f"transcript not found: {transcript_path}")
@@ -509,12 +445,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    doc, base_dir = load_config(Path(args.config))
-    violations = validate_config(doc, base_dir)
-    if violations:
-        print(f"invalid: {len(violations)} violation(s); run `hashnet validate` for details")
-        return EXIT_INVALID
-    loaded = build_config(doc, base_dir, args)
+    loaded = build_config(*load_config(Path(args.config)), args)
     settings = loaded.metrics
     include_fallbacks = not args.exclude_fallbacks
 
@@ -560,7 +491,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["run", "round", "value"])
             for label, round_index, value in rows:
-                writer.writerow([label, round_index, format(value, ".12g")])
+                writer.writerow([label, round_index, format(value, VALUE_FORMAT)])
     with open(out_dir / "rank_abundance.csv", "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["run", "rank", "hashtag", "count"])
@@ -621,19 +552,15 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _IOFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except _ValidationFailure as err:
+    except InvalidConfig as err:
+        print(f"invalid: {len(err.violations)} violation(s) in {args.config}")
+        for field_path, message in err.violations:
+            print(f"  {field_path}: {message}")
+        return EXIT_INVALID
+    except (_ValidationFailure, ConfigError, NarrativeLoadError, TranscriptError, MetricError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except (ConfigError, NarrativeLoadError, TranscriptError, MetricError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as err:
+    except (_IOFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
 

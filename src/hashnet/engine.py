@@ -27,7 +27,7 @@ from .agents import (
     build_backends,
     render_interaction_table,
 )
-from .errors import BackendUnavailableError, ConfigError, ParseError, TranscriptError
+from .errors import BackendUnavailableError, Checked, ConfigError, ParseError, TranscriptError, is_integer
 from .narrative import FocalNarrative, load_narrative
 from .topology import Network, TopologySpec, generate_network, pair_round
 
@@ -330,7 +330,7 @@ def _write_line(handle: IO[str], obj: dict) -> None:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     """Everything a run depends on. With mock or replay backends the
     resulting transcript is a pure function of this object."""
 
@@ -344,33 +344,35 @@ class RunConfig:
     run_id: str | None = None
     match_on: str = "normalized"
 
-    def validate(self, *, graph_n: int | None = None) -> None:
+    def violations(self, *, graph_n: int | None = None) -> list[ConfigError]:
         """``graph_n`` overrides the agent-count source when a pre-built
         network is injected; the Watts-Strogatz constraints then do not
         apply (the spec fields are recorded but unused)."""
+        found = []
         if graph_n is None:
-            self.topology.validate()
+            found += self.topology.violations()
             graph_n = self.topology.n
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ConfigError("rounds", f"must be a positive integer, got {self.rounds!r}")
-        if len(self.agents) != graph_n:
-            raise ConfigError(
-                "agents", f"agent count {len(self.agents)} must equal the network size {graph_n}"
-            )
+        if not is_integer(self.rounds) or self.rounds < 1:
+            found.append(ConfigError("rounds", f"must be a positive integer, got {self.rounds!r}"))
         ids = [spec.agent_id for spec in self.agents]
-        if sorted(ids) != list(range(graph_n)):
-            raise ConfigError("agents", "agent_id values must be exactly 0..n-1")
+        if is_integer(graph_n) and len(self.agents) != graph_n:
+            found.append(ConfigError(
+                "agents", f"agent count {len(self.agents)} must equal the network size {graph_n}"
+            ))
+        elif all(is_integer(i) for i in ids) and sorted(ids) != list(range(len(ids))):
+            found.append(ConfigError("agents", "agent_id values must be exactly 0..n-1"))
         for spec in self.agents:
-            spec.validate()
-        self.decode.validate()
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
-            raise ConfigError("parallelism", f"must be a positive integer, got {self.parallelism!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed!r}")
+            found += spec.violations()
+        found += self.decode.violations()
+        if not is_integer(self.parallelism) or self.parallelism < 1:
+            found.append(ConfigError("parallelism", f"must be a positive integer, got {self.parallelism!r}"))
+        if not is_integer(self.seed) or self.seed < 0 or self.seed >= 2**64:
+            found.append(ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed!r}"))
         if self.match_on not in ("normalized", "raw"):
-            raise ConfigError("match_on", f"must be 'normalized' or 'raw', got {self.match_on!r}")
-        if not self.narrative_path:
-            raise ConfigError("narrative", "narrative path must be nonempty")
+            found.append(ConfigError("match_on", f"must be 'normalized' or 'raw', got {self.match_on!r}"))
+        if not isinstance(self.narrative_path, str) or not self.narrative_path:
+            found.append(ConfigError("narrative", f"must be a nonempty path string, got {self.narrative_path!r}"))
+        return found
 
     def resolved_topology(self) -> TopologySpec:
         """Topology with its seed pinned (derived from the root seed when unset)."""

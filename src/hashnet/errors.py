@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and value checks shared across the package."""
 
 
 class HashnetError(Exception):
@@ -12,6 +12,28 @@ class ConfigError(HashnetError):
         super().__init__(f"{field}: {message}")
         self.field = field
         self.message = message
+
+
+class Checked:
+    """Base for config objects: ``violations()`` lists every problem and
+    ``validate()`` raises the first of them."""
+
+    def violations(self, **context) -> list[ConfigError]:
+        raise NotImplementedError
+
+    def validate(self, **context) -> None:
+        found = self.violations(**context)
+        if found:
+            raise found[0]
+
+
+def is_integer(value) -> bool:
+    """True for ints; ``bool`` is an int subclass but never a valid count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class NarrativeLoadError(HashnetError):

@@ -24,7 +24,7 @@ import numpy as np
 import requests
 
 from .engine import Transcript, normalize_hashtag
-from .errors import ConfigError, EmbedderUnavailableError, MetricError
+from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer
 from .narrative import FocalNarrative
 
 DEDUP_POLICIES = ("per_response", "unique")
@@ -219,12 +219,18 @@ class Embedder(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+def _check_dim(dim) -> int:
+    if not is_integer(dim) or dim < 1:
+        raise ConfigError("dim", f"must be a positive integer, got {dim!r}")
+    return dim
+
+
 class OneHotEmbedder:
     """Deterministic test embedder: every distinct string gets its own
     one-hot axis, so cosine is 1 for equal strings and 0 otherwise."""
 
     def __init__(self, dim: int = 4096):
-        self._dim = dim
+        self._dim = _check_dim(dim)
         self._index: dict[str, int] = {}
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -246,7 +252,7 @@ class HashingEmbedder:
     which is enough for demos and tests without a model server."""
 
     def __init__(self, dim: int = 256):
-        self._dim = dim
+        self._dim = _check_dim(dim)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         vectors = np.zeros((len(texts), self._dim))
@@ -275,13 +281,16 @@ class RemoteEmbedder:
         backoff: float = 1.0,
         session: requests.Session | None = None,
     ):
-        if not base_url or not model:
-            raise ConfigError("metrics.embedding", "remote embedder requires base_url and model")
+        for name, value in (("base_url", base_url), ("model", model)):
+            if not isinstance(value, str) or not value:
+                raise ConfigError(name, "required for the remote provider")
+        if not is_integer(max_retries) or max_retries < 1:
+            raise ConfigError("max_retries", f"must be a positive integer, got {max_retries!r}")
         self._url = base_url.rstrip("/") + "/embeddings"
         self._model = model
         self._api_key_env = api_key_env
         self._timeout = timeout
-        self._max_retries = max(1, int(max_retries))
+        self._max_retries = max_retries
         self._backoff = backoff
         self._session = session or requests.Session()
 

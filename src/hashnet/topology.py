@@ -14,11 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import Checked, ConfigError, is_integer, is_number
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Checked):
     """Parameters of the interaction graph.
 
     ``seed`` may be left as None, in which case the engine derives it from
@@ -31,17 +31,20 @@ class TopologySpec:
     p: float
     seed: int | None = None
 
-    def validate(self) -> None:
-        if not isinstance(self.n, int) or self.n <= 0:
-            raise ConfigError("topology.n", f"agent count must be a positive integer, got {self.n!r}")
-        if not isinstance(self.k, int) or self.k < 2 or self.k % 2 != 0:
-            raise ConfigError("topology.k", f"neighbor degree must be an even integer >= 2, got {self.k!r}")
-        if self.k >= self.n:
-            raise ConfigError("topology.k", f"neighbor degree k={self.k} must be smaller than n={self.n}")
-        if not isinstance(self.p, (int, float)) or not 0.0 <= float(self.p) <= 1.0:
-            raise ConfigError("topology.p", f"rewiring probability must lie in [0, 1], got {self.p!r}")
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64):
-            raise ConfigError("topology.seed", f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+    def violations(self) -> list[ConfigError]:
+        found = []
+        n_ok = is_integer(self.n) and self.n > 0
+        if not n_ok:
+            found.append(ConfigError("topology.n", f"agent count must be a positive integer, got {self.n!r}"))
+        if not is_integer(self.k) or self.k < 2 or self.k % 2 != 0:
+            found.append(ConfigError("topology.k", f"neighbor degree must be an even integer >= 2, got {self.k!r}"))
+        elif n_ok and self.k >= self.n:
+            found.append(ConfigError("topology.k", f"neighbor degree k={self.k} must be smaller than n={self.n}"))
+        if not is_number(self.p) or not 0.0 <= float(self.p) <= 1.0:
+            found.append(ConfigError("topology.p", f"rewiring probability must lie in [0, 1], got {self.p!r}"))
+        if self.seed is not None and (not is_integer(self.seed) or self.seed < 0 or self.seed >= 2**64):
+            found.append(ConfigError("topology.seed", f"seed must be an unsigned 64-bit integer, got {self.seed!r}"))
+        return found
 
 
 @dataclass(frozen=True)

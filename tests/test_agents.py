@@ -16,7 +16,6 @@ from hashnet import (
     ReplayBackend,
     ReplayGapError,
     mock_imitate,
-    respond,
 )
 from hashnet.agents import (
     INTERACTION_TABLE_HEADER,
@@ -201,10 +200,6 @@ class TestRemoteBackend:
 
 
 class TestSpecAndDispatch:
-    def test_respond_dispatches_by_spec(self):
-        spec = AgentSpec(0, "mock", {"strategy": "constant:#x"})
-        assert respond(spec, request(), rng()).raw_text == "#x"
-
     def test_spec_validation_errors_name_fields(self):
         with pytest.raises(ConfigError) as err:
             AgentSpec(2, "mock", {"strategy": "imitate"}).validate()
@@ -215,3 +210,15 @@ class TestSpecAndDispatch:
         with pytest.raises(ConfigError) as err:
             AgentSpec(0, "remote", {"model": "m"}).validate()
         assert "base_url" in err.value.field
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_retries", "three"),
+        ("max_retries", True),
+        ("max_in_flight", 0),
+        ("timeout", "60"),
+        ("backoff", -1),
+    ])
+    def test_remote_params_checked_by_constructor(self, key, value):
+        spec = AgentSpec(3, "remote", {"base_url": "http://127.0.0.1:1/v1", "model": "m", key: value})
+        [err] = spec.violations()
+        assert err.field == f"agents[3].backend_params.{key}"

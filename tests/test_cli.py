@@ -4,6 +4,8 @@ report outputs, exit codes."""
 import hashlib
 import json
 
+import pytest
+
 from hashnet import AgentSpec, read_transcript, run_simulation
 from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
@@ -85,6 +87,62 @@ class TestValidate:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path / "absent.json")) == EXIT_IO
+
+    @pytest.mark.parametrize("field_path, overrides", [
+        ("rounds", {"rounds": True}),
+        ("seed", {"seed": True}),
+        ("parallelism", {"parallelism": True}),
+        ("decode.max_tokens", {"decode": {"max_tokens": True}}),
+        ("agents[False].agent_id", {"agents": [
+            {"agent_id": False, "backend": "mock", "params": {"strategy": "constant:#x"}},
+        ]}),
+    ])
+    def test_bool_is_not_an_integer(self, tmp_path, capsys, field_path, overrides):
+        path = write_config(tmp_path, small_mock_doc(**overrides))
+        assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
+        assert f"  {field_path}: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("embedding", [
+        {"provider": "hashing", "dim": 0},
+        {"provider": "hashing", "dim": "x"},
+        {"provider": "onehot", "dim": True},
+    ])
+    def test_embedding_dim_must_be_positive_integer(self, tmp_path, capsys, embedding):
+        path = write_config(tmp_path, small_mock_doc(metrics={"embedding": embedding}))
+        assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
+        assert "  metrics.embedding.dim: " in capsys.readouterr().out
+
+
+def _constant_agents(n, **first_agent):
+    agents = [{"agent_id": i, "backend": "mock", "params": {"strategy": "constant:#x"}} for i in range(n)]
+    agents[0].update(first_agent)
+    return agents
+
+
+@pytest.mark.parametrize("doc, simulate_args, field_path", [
+    (small_mock_doc(agents=_constant_agents(6, agent_id=1)), [], "agents"),
+    (
+        small_mock_doc(agents=_constant_agents(
+            6, backend="remote",
+            params={"base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": "three"},
+        )),
+        [],
+        "agents[0].backend_params.max_retries",
+    ),
+    (small_mock_doc(), ["--parallelism", "0"], "parallelism"),
+], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero"])
+def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
+    path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    commands = [["simulate", "--config", str(path), "--out", str(out_dir), *simulate_args]]
+    if not simulate_args:
+        commands.append(["validate", "--config", str(path)])
+    for argv in commands:
+        assert run_cli(*argv) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert out.startswith("invalid:")
+        assert f"  {field_path}: " in out
+    assert not (out_dir / "transcript.jsonl").exists()
 
 
 class TestSimulate:
