@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -95,38 +95,94 @@ class Backend(Protocol):
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse: ...
 
 
+def render_interaction_row(round_index: int, own: str, neighbor: str) -> str:
+    """One CSV row of the interaction table, without its line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
+    return buf.getvalue()[:-1]
+
+
 def render_interaction_table(rows: Sequence[tuple[int, str, str]]) -> str:
     """CSV block shown to an agent: one row per prior round it was paired,
     raw hashtags as the partner saw them."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", "your_guess", "neighbor_guess"])
-    for round_index, own, neighbor in rows:
-        writer.writerow([round_index, own, neighbor])
-    return buf.getvalue().rstrip("\n")
+    return "\n".join([INTERACTION_TABLE_HEADER, *(render_interaction_row(*row) for row in rows)])
 
 
 def parse_interaction_table(prompt: str) -> list[tuple[int, str, str]]:
     """Recover (round, your_guess, neighbor_guess) rows from a prompt.
 
-    Returns an empty list when the prompt carries no table (round 1).
+    The table starts after the first line equal to the header and ends at
+    the first blank line. Returns an empty list when the prompt carries no
+    table (round 1).
     """
-    lines = prompt.splitlines()
-    try:
-        start = lines.index(INTERACTION_TABLE_HEADER)
-    except ValueError:
-        return []
-    body: list[str] = []
-    for line in lines[start + 1:]:
-        if not line.strip():
+    start = _table_start(prompt)
+    return [] if start is None else _read_table(prompt, start)[0]
+
+
+# The characters str.splitlines() breaks at; "\r\n" is one break.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _table_start(prompt: str) -> int | None:
+    """Offset of the line after the first line equal to the table header,
+    or None when no line is."""
+    at = prompt.find(INTERACTION_TABLE_HEADER)
+    while at != -1:
+        end = at + len(INTERACTION_TABLE_HEADER)
+        if (at == 0 or prompt[at - 1] in _LINE_BREAKS) and (end == len(prompt) or prompt[end] in _LINE_BREAKS):
+            return min(end + (2 if prompt.startswith("\r\n", end) else 1), len(prompt))
+        at = prompt.find(INTERACTION_TABLE_HEADER, at + 1)
+    return None
+
+
+def _read_table(prompt: str, offset: int) -> tuple[list[tuple[int, str, str]], int, bool]:
+    """Rows of the table lines from ``offset`` (a line start) to the first
+    blank line; the offset just past the last of those lines; and whether
+    the CSV reader ended between records rather than inside a quoted field
+    that a further line would continue."""
+    lines: list[str] = []
+    end = offset
+    for line in prompt[offset:].splitlines(keepends=True):
+        text = line.rstrip(_LINE_BREAKS)
+        if not text.strip():
             break
-        body.append(line)
+        lines.append(text)
+        end += len(line)
+    # The extra blank line is a record of its own only when the last line
+    # closed its record; either way it adds no row.
+    reader = csv.reader(lines + [""])
     rows: list[tuple[int, str, str]] = []
-    for record in csv.reader(body):
-        if len(record) != 3:
-            continue
-        rows.append((int(record[0]), record[1], record[2]))
-    return rows
+    closed = not lines
+    for record in reader:
+        if len(record) == 3:
+            rows.append((int(record[0]), record[1], record[2]))
+        closed = closed or reader.line_num == len(lines)
+    return rows, end, closed
+
+
+def _tally(rows: Sequence[tuple[int, str, str]], counts: dict[str, int], last_seen: dict[str, int]) -> None:
+    """Add rows to the running neighbor-guess counts and last-seen rounds."""
+    for round_index, _own, neighbor in rows:
+        counts[neighbor] = counts.get(neighbor, 0) + 1
+        if round_index > last_seen.get(neighbor, 0):
+            last_seen[neighbor] = round_index
+
+
+def _imitate(
+    counts: Mapping[str, int],
+    last_seen: Mapping[str, int],
+    lexicon: Sequence[str],
+    rng: np.random.Generator,
+) -> str:
+    """The imitation rule over tallied history (see ``mock_imitate``)."""
+    if not lexicon:
+        raise ConfigError("backend_params.lexicon", "imitate strategy requires a nonempty lexicon")
+    if not counts:
+        return str(lexicon[int(rng.integers(len(lexicon)))])
+    top = max(counts.values())
+    tied = [guess for guess, count in counts.items() if count == top]
+    tied.sort(key=lambda guess: (-last_seen[guess], guess))
+    return tied[0]
 
 
 def mock_imitate(
@@ -138,20 +194,19 @@ def mock_imitate(
     otherwise produce the neighbor guess seen most often across all prior
     rounds, breaking count ties by most recent occurrence, then
     lexicographically."""
-    if not lexicon:
-        raise ConfigError("backend_params.lexicon", "imitate strategy requires a nonempty lexicon")
-    if not history:
-        return str(lexicon[int(rng.integers(len(lexicon)))])
     counts: dict[str, int] = {}
     last_seen: dict[str, int] = {}
-    for round_index, _own, neighbor in history:
-        counts[neighbor] = counts.get(neighbor, 0) + 1
-        if round_index > last_seen.get(neighbor, 0):
-            last_seen[neighbor] = round_index
-    top = max(counts.values())
-    tied = [guess for guess, count in counts.items() if count == top]
-    tied.sort(key=lambda guess: (-last_seen[guess], guess))
-    return tied[0]
+    _tally(history, counts, last_seen)
+    return _imitate(counts, last_seen, lexicon, rng)
+
+
+class _TableMemo(NamedTuple):
+    """What a mock has read of one agent's table: the text of the lines
+    read, ending between records and at a line break, and their tallies."""
+
+    text: str
+    counts: dict[str, int]
+    last_seen: dict[str, int]
 
 
 class MockBackend:
@@ -161,6 +216,11 @@ class MockBackend:
       ``constant:<text>``  always answer ``<text>``
       ``imitate``          copy the most frequent neighbor guess so far
                            (requires ``lexicon`` for the opening round)
+
+    An imitate mock reads its history from the prompt's table. It keeps,
+    per agent, the table text it has read and the tallies of its rows; when
+    the next prompt's table extends that text at a line boundary, only the
+    new lines are parsed. The answer is always the one a full read gives.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -170,6 +230,7 @@ class MockBackend:
             raise ConfigError("backend_params.lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
+        self._memo: dict[int, _TableMemo] = {}
         if not isinstance(strategy, str):
             raise ConfigError("backend_params.strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
@@ -185,8 +246,31 @@ class MockBackend:
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
             return BackendResponse(raw_text=self._constant)
-        history = parse_interaction_table(req.prompt)
-        return BackendResponse(raw_text=mock_imitate(history, self._lexicon, rng))
+        counts, last_seen = self._read_history(req.agent_id, req.prompt)
+        return BackendResponse(raw_text=_imitate(counts, last_seen, self._lexicon, rng))
+
+    def _read_history(self, agent_id: int, prompt: str) -> tuple[dict[str, int], dict[str, int]]:
+        """Tallies of the table in ``prompt``, parsing only the lines past
+        what this agent's memo covers, and the memo brought up to date."""
+        start = _table_start(prompt)
+        if start is None:
+            return {}, {}
+        offset, counts, last_seen = start, {}, {}
+        memo = self._memo.get(agent_id)
+        if memo is not None and prompt.startswith(memo.text, start):
+            resume = start + len(memo.text)
+            # A memo ending in "\r" followed by "\n" would split one line break.
+            if not (memo.text.endswith("\r") and prompt.startswith("\n", resume)):
+                offset, counts, last_seen = resume, dict(memo.counts), dict(memo.last_seen)
+        rows, end, closed = _read_table(prompt, offset)
+        _tally(rows, counts, last_seen)
+        # Entries are never changed once stored, so a concurrent call for
+        # the same agent sees either the old entry or the new one.
+        if closed and (end == start or prompt[end - 1] in _LINE_BREAKS):
+            self._memo[agent_id] = _TableMemo(prompt[start:end], counts, last_seen)
+        else:
+            self._memo.pop(agent_id, None)
+        return counts, last_seen
 
 
 class ReplayBackend:
@@ -221,9 +305,10 @@ class RemoteBackend:
     """OpenAI-compatible chat-completions client with bounded retries.
 
     Sends the prompt as a single user message; the first choice's text is
-    returned untouched. Transport failures are retried with exponential
-    backoff; exhaustion raises BackendUnavailableError so the engine can
-    apply its fallback rule. A shared semaphore caps in-flight requests.
+    returned untouched. Failures that ``is_retryable`` accepts are retried
+    with exponential backoff; exhaustion, or any other failure, raises
+    BackendUnavailableError so the engine can apply its fallback rule. A
+    shared semaphore caps in-flight requests.
     """
 
     def __init__(
@@ -287,9 +372,21 @@ class RemoteBackend:
                 return BackendResponse(raw_text=text, latency_ms=latency_ms, attempt=attempt)
             except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as err:
                 failure = f"{type(err).__name__}: {err}"
+                if not is_retryable(err):
+                    break
                 if attempt < self._max_retries:
                     time.sleep(self._backoff * 2 ** (attempt - 1))
         raise BackendUnavailableError(req.agent_id, req.round, failure)
+
+
+def is_retryable(err: Exception) -> bool:
+    """Whether an HTTP attempt that failed with ``err`` is worth repeating:
+    transport errors, malformed replies, 408, 429 and 5xx are; any other
+    4xx status would fail the same way again."""
+    if not isinstance(err, requests.HTTPError) or err.response is None:
+        return True
+    status = err.response.status_code
+    return status in (408, 429) or not 400 <= status < 500
 
 
 def _first_choice_text(data: dict) -> str:

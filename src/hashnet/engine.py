@@ -24,7 +24,9 @@ from .agents import (
     BackendRequest,
     BackendResponse,
     DecodeParams,
+    INTERACTION_TABLE_HEADER,
     build_backends,
+    render_interaction_row,
     render_interaction_table,
 )
 from .errors import BackendUnavailableError, Checked, ConfigError, ParseError, TranscriptError, is_integer
@@ -100,9 +102,14 @@ def _is_hashtag_token(token: str) -> bool:
     return bare.startswith("#") and any(c.isalnum() for c in bare)
 
 
-def _clean_tokens(tokens: Sequence[str]) -> list[str]:
+def _guess(tokens: Sequence[str]) -> Hashtag:
+    """The first five tokens left after cleaning off quotes and markdown. A
+    guess with no letter or digit cannot be compared, so it fails to parse."""
     cleaned = [t.strip(_WRAP_CHARS) for t in tokens]
-    return [t for t in cleaned if t]
+    tag = Hashtag.from_raw(" ".join([t for t in cleaned if t][:WORD_CAP]))
+    if not tag.normalized:
+        raise ParseError(f"guess {tag.raw!r} has no letter or digit")
+    return tag
 
 
 def parse_response(raw_text: str) -> Hashtag:
@@ -112,7 +119,8 @@ def parse_response(raw_text: str) -> Hashtag:
     '#'-prefixed token sequence (from that token to the end of its line);
     if no line contains one, the first nonempty line is used instead.
     Either way the result is truncated to five whitespace-delimited words
-    and cleaned of surrounding quotes and markdown.
+    and cleaned of surrounding quotes and markdown. A result whose
+    normalized form is empty raises ParseError.
     """
     text = _strip_reasoning(raw_text)
     lines = [line.strip() for line in text.splitlines()]
@@ -124,14 +132,8 @@ def parse_response(raw_text: str) -> Hashtag:
         tokens = line.split()
         for i, token in enumerate(tokens):
             if _is_hashtag_token(token):
-                words = _clean_tokens(tokens[i:])[:WORD_CAP]
-                return Hashtag.from_raw(" ".join(words))
-
-    first = lines[0].lstrip("#").strip()
-    words = _clean_tokens(first.split())[:WORD_CAP]
-    if not words:
-        raise ParseError("response is empty after stripping")
-    return Hashtag.from_raw(" ".join(words))
+                return _guess(tokens[i:])
+    return _guess(lines[0].lstrip("#").split())
 
 
 # --- prompt construction ---------------------------------------------------
@@ -149,7 +151,9 @@ CLOSING_PARAGRAPH = (
 )
 
 
-def _render_prompt(round_index: int, history_rows: Sequence[tuple[int, str, str]], event_text: str) -> str:
+def _render_prompt(round_index: int, table: str, event_text: str) -> str:
+    """The prompt text around an agent's rendered interaction table (unused
+    in round 1)."""
     parts = [SCORING_PARAGRAPH, ""]
     if round_index == 1:
         parts += [
@@ -162,7 +166,7 @@ def _render_prompt(round_index: int, history_rows: Sequence[tuple[int, str, str]
             f"You are in round {round_index} of the experiment. Your guesses and "
             "your neighbor's guesses have been as follows, represented in the CSV below:",
             "",
-            render_interaction_table(history_rows),
+            table,
             "",
             "Based on this information and the event provided in round 1:",
         ]
@@ -183,7 +187,7 @@ def build_prompt(
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     rows = transcript.agent_history(agent_id, before_round=round_index)
-    return _render_prompt(round_index, rows, narrative.full_text)
+    return _render_prompt(round_index, render_interaction_table(rows), narrative.full_text)
 
 
 # --- records and transcripts ------------------------------------------------
@@ -451,7 +455,9 @@ def run_simulation(
     }
 
     transcript = Transcript(header=header, records=[])
-    histories: dict[int, list[tuple[int, str, str]]] = {i: [] for i in range(network.n)}
+    # Each agent's interaction table as rendered so far; a row is appended
+    # once, when its round commits.
+    tables = {i: INTERACTION_TABLE_HEADER for i in range(network.n)}
     last_guess: dict[int, str] = {}
 
     handle = open(out_path, "w", encoding="utf-8", newline="\n") if out_path is not None else None
@@ -465,7 +471,7 @@ def run_simulation(
             pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
             participants = [agent for pair in pairing.pairs for agent in pair]
             prompts = {
-                agent: _render_prompt(round_index, histories[agent], narrative.full_text)
+                agent: _render_prompt(round_index, tables[agent], narrative.full_text)
                 for agent in participants
             }
 
@@ -519,8 +525,10 @@ def run_simulation(
 
             transcript.records.extend(round_records)
             for record in round_records:
-                histories[record.agent_a].append((record.round, record.hashtag_a.raw, record.hashtag_b.raw))
-                histories[record.agent_b].append((record.round, record.hashtag_b.raw, record.hashtag_a.raw))
+                tables[record.agent_a] += "\n" + render_interaction_row(
+                    record.round, record.hashtag_a.raw, record.hashtag_b.raw)
+                tables[record.agent_b] += "\n" + render_interaction_row(
+                    record.round, record.hashtag_b.raw, record.hashtag_a.raw)
                 last_guess[record.agent_a] = record.hashtag_a.raw
                 last_guess[record.agent_b] = record.hashtag_b.raw
             if handle is not None:

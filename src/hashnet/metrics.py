@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 import requests
 
+from .agents import is_retryable
 from .engine import Transcript, normalize_hashtag
 from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer
 from .narrative import FocalNarrative
@@ -268,7 +269,8 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible embeddings client with bounded retries."""
+    """OpenAI-compatible embeddings client with bounded retries; what it
+    retries is what the remote chat backend retries (``is_retryable``)."""
 
     def __init__(
         self,
@@ -312,6 +314,8 @@ class RemoteEmbedder:
                 return np.array([row["embedding"] for row in rows], dtype=float)
             except (requests.RequestException, ValueError, KeyError, TypeError) as err:
                 failure = f"{type(err).__name__}: {err}"
+                if not is_retryable(err):
+                    break
                 if attempt < self._max_retries:
                     time.sleep(self._backoff * 2 ** (attempt - 1))
         raise EmbedderUnavailableError(failure)

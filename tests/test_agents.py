@@ -1,9 +1,15 @@
 """Backend implementations and the interaction-table wire format."""
 
 import json
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashnet import (
     AgentSpec,
@@ -17,9 +23,12 @@ from hashnet import (
     ReplayGapError,
     mock_imitate,
 )
+from hashnet import agents
 from hashnet.agents import (
     INTERACTION_TABLE_HEADER,
+    is_retryable,
     parse_interaction_table,
+    render_interaction_row,
     render_interaction_table,
 )
 
@@ -45,6 +54,17 @@ class TestInteractionTable:
 
     def test_absent_table(self):
         assert parse_interaction_table("no table in here") == []
+
+    def test_table_is_header_plus_rendered_rows(self):
+        rows = [(1, '#say "hi", world', "#x,y"), (2, "#a\nb", ""), (3, "#c\rd", "#e")]
+        expected = "\n".join([INTERACTION_TABLE_HEADER] + [render_interaction_row(*row) for row in rows])
+        assert render_interaction_table(rows) == expected
+        assert render_interaction_row(2, "#a\nb", "") == '2,"#a\nb",'
+        assert render_interaction_table([]) == INTERACTION_TABLE_HEADER
+
+    def test_header_must_be_a_whole_line(self):
+        assert parse_interaction_table("x" + INTERACTION_TABLE_HEADER + "\n1,#a,#b") == []
+        assert parse_interaction_table(f"x\r\n{INTERACTION_TABLE_HEADER}\r\n1,#a,#b\r\n\r\n") == [(1, "#a", "#b")]
 
 
 class TestMockImitate:
@@ -106,6 +126,133 @@ class TestMockBackend:
         first = backend.respond(request("no table", 1), rng(3)).raw_text
         second = backend.respond(request("no table", 1), rng(3)).raw_text
         assert first == second
+
+
+# Small alphabets so that quoting, embedded line breaks, blank lines and
+# shared prefixes all turn up often. A rendered row whose field holds a
+# newline spans two lines; keeping them as separate lines lets a shrink cut
+# a table inside a quoted field.
+_FIELD = st.text(alphabet='ab#, "\r\n', max_size=5)
+_ROW_LINES = st.builds(render_interaction_row, st.integers(-1, 30), _FIELD, _FIELD).map(lambda row: row.split("\n"))
+_RAW_LINE = st.text(alphabet='1a,"# ', max_size=8)
+_BREAK = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\u2028"])
+_SUFFIX = st.sampled_from(["\n\nBased on this information", "", "\n", "\r\rrest", "\n  \nrest"])
+_NO_TABLE = st.sampled_from(["", "no table here", "x" + INTERACTION_TABLE_HEADER + "\n1,#a,#b"])
+LEXICON = ["#z", "#y", "#x"]
+
+
+def full_read(prompt, seed):
+    """The tallies and answer of a full parse, or the error it raises."""
+    try:
+        counts, last_seen = {}, {}
+        rows = parse_interaction_table(prompt)
+        agents._tally(rows, counts, last_seen)
+        return counts, last_seen, mock_imitate(rows, LEXICON, rng(seed))
+    except Exception as err:  # noqa: BLE001 - the error type is the expected outcome
+        return type(err)
+
+
+def memo_read(backend, agent, prompt, seed):
+    """The same through a mock's memo: its tallies, then its answer."""
+    try:
+        counts, last_seen = backend._read_history(agent, prompt)
+        answer = backend.respond(request(prompt, 2, agent), rng(seed)).raw_text
+        return counts, last_seen, answer
+    except Exception as err:  # noqa: BLE001
+        return type(err)
+
+
+def table_prompt(lines, line_break="\n", suffix="\n\nrest"):
+    return "round 9\n\n" + line_break.join([INTERACTION_TABLE_HEADER, *lines]) + suffix
+
+
+class TestMockMemo:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_reads_equal_a_full_read(self, data):
+        backend = MockBackend("imitate", lexicon=LEXICON)
+        bodies: dict[int, list[str]] = {}
+        for step in range(data.draw(st.integers(1, 10), label="steps")):
+            agent = data.draw(st.integers(0, 2), label="agent")
+            lines = bodies.get(agent, [])
+            op = data.draw(st.sampled_from(["grow", "grow", "grow", "raw", "cut", "shrink", "edit", "none"]))
+            if op == "grow":
+                lines = lines + sum(data.draw(st.lists(_ROW_LINES, max_size=3)), [])
+            elif op == "raw":
+                lines = lines + data.draw(st.lists(_RAW_LINE, min_size=1, max_size=2))
+            elif op == "cut":
+                lines = lines[:-1]
+            elif op == "shrink":
+                lines = lines[: data.draw(st.integers(0, len(lines)))]
+            elif op == "edit" and lines:
+                at = data.draw(st.integers(0, len(lines) - 1))
+                lines = lines[:at] + [data.draw(_RAW_LINE)] + lines[at + 1:]
+            bodies[agent] = lines
+            if op == "none":
+                prompt = data.draw(_NO_TABLE)
+            else:
+                prompt = table_prompt(lines, data.draw(_BREAK), data.draw(_SUFFIX))
+            assert memo_read(backend, agent, prompt, step) == full_read(prompt, step), prompt
+
+    @pytest.mark.parametrize("first, second", [
+        # the first table ends inside a quoted field that the next line continues
+        (table_prompt(['1,"#a']), table_prompt(['1,"#a', '2,#b,#c"']),),
+        # a memo ending in "\r" must not split the "\r\n" that follows it
+        (table_prompt(["1,#a,#b"], "\r\n", "\r\rrest"), table_prompt(["1,#a,#b", "2,#c,#d"], "\r\n")),
+        # a table at the very end of a prompt: its last line may still grow
+        (table_prompt(["1,#a,#b"], suffix=""), table_prompt(["1,#a,#bb"])),
+        (table_prompt(["1,#a,#b"], suffix=""), table_prompt(["1,#a,#b", "2,#c,#d"])),
+    ])
+    def test_reads_that_cannot_resume(self, first, second):
+        backend = MockBackend("imitate", lexicon=LEXICON)
+        for prompt in (first, second):
+            assert memo_read(backend, 0, prompt, 0) == full_read(prompt, 0)
+
+    def test_threads_sharing_one_memo_read_whole_tables(self):
+        # many threads grow, shrink and re-read one agent's table through one
+        # mock; a memo entry changed after it was stored would corrupt tallies
+        rows = [(r, "#own", f"#n{r * 7 % 5}") for r in range(1, 41)]
+        prompts = [table_prompt([render_interaction_row(*row) for row in rows[:k]]) for k in range(41)]
+        expected = [full_read(prompt, 0)[:2] for prompt in prompts]
+        backend = MockBackend("imitate", lexicon=LEXICON)
+        wrong = []
+
+        def work(worker):
+            for k in random.Random(worker).choices(range(41), k=1500):
+                if backend._read_history(0, prompts[k]) != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_grown_table_parses_each_row_once(self, monkeypatch):
+        parsed = []
+        read_table = agents._read_table
+
+        def counting(prompt, offset):
+            rows, end, closed = read_table(prompt, offset)
+            parsed.extend(rows)
+            return rows, end, closed
+
+        monkeypatch.setattr(agents, "_read_table", counting)
+        backend = MockBackend("imitate", lexicon=["#z"])
+        rows = []
+        for round_index in range(1, 41):
+            prompt = f"round {round_index}\n\n{render_interaction_table(rows)}\n\nrest"
+            answer = backend.respond(request(prompt, round_index, agent_id=7), rng()).raw_text
+            assert answer == mock_imitate(rows, ["#z"], rng())
+            rows.append((round_index, "#own", f'#n,"{round_index % 3}"'))
+        assert parsed == rows[:-1]
 
 
 class TestReplayBackend:
@@ -187,6 +334,25 @@ class TestRemoteBackend:
         assert err.value.agent_id == 9
         assert err.value.round_index == 3
         assert len(stub_server.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_is_not_retried(self, stub_server, status):
+        stub_server.script.append(status)
+        backend = RemoteBackend(stub_server.base_url, "m", backoff=0.01)
+        with pytest.raises(BackendUnavailableError):
+            backend.respond(request(), rng())
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_transient_status_is_retried(self, stub_server, status):
+        stub_server.script.extend([status, "#ok"])
+        backend = RemoteBackend(stub_server.base_url, "m", backoff=0.01)
+        response = backend.respond(request(), rng())
+        assert (response.raw_text, response.attempt) == ("#ok", 2)
+
+    def test_transport_and_malformed_replies_are_retryable(self):
+        assert is_retryable(requests.ConnectionError("refused"))
+        assert is_retryable(ValueError("not JSON"))
 
     def test_unreachable_endpoint(self):
         backend = RemoteBackend("http://127.0.0.1:1/v1", "m", max_retries=1, timeout=0.5)

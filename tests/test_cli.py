@@ -284,6 +284,23 @@ class TestMetrics:
                          "--out", str(tmp_path / "m2"), "--strict")
         assert strict == EXIT_INVALID
 
+    def test_guesses_without_letters_fall_back_and_metrics_succeed(self, tmp_path):
+        # every response normalizes to "": each side falls back, so no round
+        # is left without a comparable guess and perplexity is defined
+        doc = small_mock_doc(
+            agents={"backend": "mock", "count": 6, "params": {"strategy": "constant:— …"}},
+            metrics={"reference_corpus": str(FIXTURES / "fixture_corpus.txt")},
+        )
+        config = write_config(tmp_path, doc)
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+        transcript = read_transcript(tmp_path / "run" / "transcript.jsonl")
+        assert all(r.fallback_a and r.fallback_b for r in transcript.records)
+        code = run_cli("metrics", str(tmp_path / "run" / "transcript.jsonl"), "--config", str(config),
+                       "--out", str(tmp_path / "m"))
+        assert code == EXIT_OK
+        statuses = json.loads((tmp_path / "m" / "metadata.json").read_text())["statuses"]
+        assert statuses["perplexity"] == "computed"
+
     def test_missing_transcript_is_io_error(self, tmp_path):
         code = run_cli("metrics", str(tmp_path / "nope.jsonl"),
                        "--config", str(FIXTURES / "fixture_config.json"),

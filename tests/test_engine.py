@@ -25,6 +25,7 @@ from hashnet import (
     run_simulation,
     write_transcript,
 )
+from hashnet import engine
 from hashnet.engine import SCORING_PARAGRAPH, config_digest, config_snapshot
 
 from conftest import FIXTURES, make_mock_config
@@ -93,6 +94,11 @@ class TestParseResponse:
     def test_empty_raises(self):
         with pytest.raises(ParseError):
             parse_response("   \n\t  ")
+
+    @pytest.mark.parametrize("raw", ["— …", "#!!!", '"#"', "**#**", "..."])
+    def test_guess_without_letter_or_digit_raises(self, raw):
+        with pytest.raises(ParseError):
+            parse_response(raw)
 
 
 class TestBuildPrompt:
@@ -258,6 +264,33 @@ class TestRunSimulation:
         literal = run_simulation(config_for("raw"), network=edge)
         assert not literal.records[0].match
 
+    def test_engine_sends_the_prompts_build_prompt_renders(self, monkeypatch):
+        # build_prompt is what the prompt goldens pin; the engine renders its
+        # tables incrementally and must send the same bytes
+        sent = {}
+
+        class Spy:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def respond(self, req, rng):
+                sent[(req.agent_id, req.round)] = req.prompt
+                return self.inner.respond(req, rng)
+
+        build = engine.build_backends
+        monkeypatch.setattr(engine, "build_backends", lambda specs: {i: Spy(b) for i, b in build(specs).items()})
+        lexicon = ('#say "hi", world', "#x,y", "#plain")
+        config = make_mock_config(n=10, rounds=15, k=2, p=0.3, seed=4, lexicon=lexicon)
+        transcript = run_simulation(config)
+        narrative = load_narrative(config.narrative_path)
+
+        assert len(sent) == 2 * len(transcript.records)
+        assert len({agent for agent, round_index in sent if round_index == 15}) < 10  # some agents sit out
+        assert any('"#x,y"' in prompt for prompt in sent.values())
+        for (agent, round_index), prompt in sent.items():
+            before = Transcript(transcript.header, [r for r in transcript.records if r.round < round_index])
+            assert prompt == build_prompt(agent, round_index, before, narrative)
+
     def test_unmatched_agents_gain_no_history(self):
         # path graph: one agent sits out every round
         config = replace(make_mock_config(n=3, rounds=4, strategy="constant:#s"), topology=TopologySpec(n=3, k=2, p=0.0))
@@ -328,6 +361,27 @@ class TestFallbacks:
         assert raw.strip() == ""  # backend text kept byte-exact
         tag = record.hashtag_b if record.fallback_b else record.hashtag_a
         assert tag.raw == "#noresponse"
+        assert transcript.abort is None
+
+    def test_guess_without_letter_or_digit_flags_fallback(self):
+        agents = [AgentSpec(0, "mock", {"strategy": "constant:— …"})]
+        agents += [AgentSpec(i, "mock", {"strategy": "constant:#x"}) for i in range(1, 4)]
+        config = RunConfig(
+            topology=TopologySpec(n=4, k=2, p=0.0),
+            rounds=3,
+            agents=tuple(agents),
+            narrative_path=str(FIXTURES / "synthetic_narrative.json"),
+        )
+        transcript = run_simulation(config, network=Network.complete(4))
+        for record in transcript.records:
+            for agent, raw, tag, fell_back in (
+                (record.agent_a, record.raw_a, record.hashtag_a, record.fallback_a),
+                (record.agent_b, record.raw_b, record.hashtag_b, record.fallback_b),
+            ):
+                assert fell_back == (agent == 0)
+                if agent == 0:
+                    assert (raw, tag.raw) == ("— …", "#noresponse")
+                    assert not record.match
         assert transcript.abort is None
 
     def test_majority_unavailable_aborts_with_marker(self, tmp_path):

@@ -14,6 +14,7 @@ from hashnet import (
     HashtagDistribution,
     MetricError,
     OneHotEmbedder,
+    RemoteEmbedder,
     Transcript,
     UnigramModel,
     align_hashtags,
@@ -295,6 +296,16 @@ class TestAlignment:
         narrative = FocalNarrative(id="n", title="n", full_text="t", events=synthetic_events(2))
         with pytest.raises(EmbedderUnavailableError):
             align_hashtags(["#x"], narrative, Broken())
+
+    def test_remote_embedder_retries_what_the_chat_backend_retries(self, stub_server):
+        embedder = RemoteEmbedder(stub_server.base_url, "m", backoff=0.01)
+        stub_server.script.append(404)
+        with pytest.raises(EmbedderUnavailableError):
+            embedder.embed(["#x"])
+        assert len(stub_server.requests) == 1
+        stub_server.script.append(503)
+        assert embedder.embed(["#xy"]).tolist() == [[3.0, 1.0]]
+        assert len(stub_server.requests) == 3
 
     def test_hashing_embedder_is_deterministic_and_normalized(self):
         embedder = HashingEmbedder(dim=64)
