@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -32,6 +31,8 @@ BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
 
 INTERACTION_TABLE_HEADER = "round,your_guess,neighbor_guess"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -281,17 +282,14 @@ class ReplayBackend:
 
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayBackend":
-        """Index a transcript file: raw_a/raw_b of every record, by agent and round."""
+        """Index a transcript file: raw_a/raw_b of every record, by agent and
+        round. The file is read, and checked, by ``read_transcript``."""
+        from .engine import read_transcript  # engine imports this module
+
         responses: dict[tuple[int, int], str] = {}
-        with open(path, encoding="utf-8") as handle:
-            for i, line in enumerate(handle):
-                if i == 0 or not line.strip():
-                    continue
-                record = json.loads(line)
-                if "abort" in record:
-                    continue
-                responses[(record["agent_a"], record["round"])] = record["raw_a"]
-                responses[(record["agent_b"], record["round"])] = record["raw_b"]
+        for record in read_transcript(path).records:
+            responses[(record.agent_a, record.round)] = record.raw_a
+            responses[(record.agent_b, record.round)] = record.raw_b
         return cls(responses)
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
@@ -299,6 +297,75 @@ class ReplayBackend:
         if key not in self._responses:
             raise ReplayGapError(req.agent_id, req.round)
         return BackendResponse(raw_text=self._responses[key])
+
+
+class HttpClient:
+    """JSON POSTs to one path of an OpenAI-compatible endpoint, shared by
+    the remote chat backend and the remote embedder.
+
+    The constructor checks the connection settings. Each request carries a
+    bearer token read from ``api_key_env`` when that variable is set.
+    Failures that ``is_retryable`` accepts are retried with exponential
+    backoff, and a semaphore caps in-flight requests.
+    """
+
+    def __init__(
+        self,
+        base_url: str,
+        path: str,
+        model: str,
+        *,
+        api_key_env: str = API_KEY_ENV,
+        timeout: float = 60.0,
+        max_retries: int = 3,
+        backoff: float = 1.0,
+        max_in_flight: int = 8,
+        session: requests.Session | None = None,
+    ):
+        for name, value in (("base_url", base_url), ("model", model), ("api_key_env", api_key_env)):
+            if not isinstance(value, str) or not value:
+                raise ConfigError(name, f"must be a nonempty string, got {value!r}")
+        if not is_number(timeout) or timeout <= 0:
+            raise ConfigError("timeout", f"must be a number > 0, got {timeout!r}")
+        if not is_integer(max_retries) or max_retries < 1:
+            raise ConfigError("max_retries", f"must be a positive integer, got {max_retries!r}")
+        if not is_number(backoff) or backoff < 0:
+            raise ConfigError("backoff", f"must be a number >= 0, got {backoff!r}")
+        if not is_integer(max_in_flight) or max_in_flight < 1:
+            raise ConfigError("max_in_flight", f"must be a positive integer, got {max_in_flight!r}")
+        self._url = base_url.rstrip("/") + path
+        self.model = model
+        self._api_key_env = api_key_env
+        self._timeout = timeout
+        self._max_retries = max_retries
+        self._backoff = backoff
+        self._gate = threading.BoundedSemaphore(max_in_flight)
+        self._session = session or requests.Session()
+
+    def post(
+        self, payload: dict, read: Callable[[dict], T], unavailable: Callable[[str], Exception]
+    ) -> tuple[T, int]:
+        """``read`` of the reply JSON of the first attempt that succeeds,
+        and that attempt's number. Raises ``unavailable(failure)`` once the
+        attempts run out or a failure is not worth repeating."""
+        headers = {}
+        api_key = os.environ.get(self._api_key_env, "")
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
+        failure = ""
+        for attempt in range(1, self._max_retries + 1):
+            try:
+                with self._gate:
+                    response = self._session.post(self._url, json=payload, headers=headers, timeout=self._timeout)
+                response.raise_for_status()
+                return read(response.json()), attempt
+            except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as err:
+                failure = f"{type(err).__name__}: {err}"
+                if not is_retryable(err):
+                    break
+                if attempt < self._max_retries:
+                    time.sleep(self._backoff * 2 ** (attempt - 1))
+        raise unavailable(failure)
 
 
 class RemoteBackend:
@@ -311,72 +378,28 @@ class RemoteBackend:
     shared semaphore caps in-flight requests.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        *,
-        api_key_env: str = API_KEY_ENV,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 1.0,
-        max_in_flight: int = 8,
-        session: requests.Session | None = None,
-    ):
-        if not isinstance(base_url, str) or not base_url:
-            raise ConfigError("backend_params.base_url", "remote backend requires a base_url")
-        if not isinstance(model, str) or not model:
-            raise ConfigError("backend_params.model", "remote backend requires a model name")
-        if not isinstance(api_key_env, str) or not api_key_env:
-            raise ConfigError("backend_params.api_key_env", "must be a nonempty environment variable name")
-        if not is_number(timeout) or timeout <= 0:
-            raise ConfigError("backend_params.timeout", f"must be a number > 0, got {timeout!r}")
-        if not is_integer(max_retries) or max_retries < 1:
-            raise ConfigError("backend_params.max_retries", f"must be a positive integer, got {max_retries!r}")
-        if not is_number(backoff) or backoff < 0:
-            raise ConfigError("backend_params.backoff", f"must be a number >= 0, got {backoff!r}")
-        if not is_integer(max_in_flight) or max_in_flight < 1:
-            raise ConfigError("backend_params.max_in_flight", f"must be a positive integer, got {max_in_flight!r}")
-        self._url = base_url.rstrip("/") + "/chat/completions"
-        self._model = model
-        self._api_key_env = api_key_env
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
-        self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+    def __init__(self, base_url: str, model: str, **settings):
+        """``settings`` are ``HttpClient``'s keyword arguments."""
+        try:
+            self._client = HttpClient(base_url, "/chat/completions", model, **settings)
+        except ConfigError as err:
+            raise ConfigError(f"backend_params.{err.field}", err.message) from None
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         payload = {
-            "model": self._model,
+            "model": self._client.model,
             "messages": [{"role": "user", "content": req.prompt}],
             "temperature": req.decode.temperature,
             "max_tokens": req.decode.max_tokens,
         }
-        headers = {}
-        api_key = os.environ.get(self._api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-
         start = time.monotonic()
-        failure = ""
-        for attempt in range(1, self._max_retries + 1):
-            try:
-                with self._gate:
-                    response = self._session.post(
-                        self._url, json=payload, headers=headers, timeout=self._timeout
-                    )
-                response.raise_for_status()
-                text = _first_choice_text(response.json())
-                latency_ms = (time.monotonic() - start) * 1000.0
-                return BackendResponse(raw_text=text, latency_ms=latency_ms, attempt=attempt)
-            except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as err:
-                failure = f"{type(err).__name__}: {err}"
-                if not is_retryable(err):
-                    break
-                if attempt < self._max_retries:
-                    time.sleep(self._backoff * 2 ** (attempt - 1))
-        raise BackendUnavailableError(req.agent_id, req.round, failure)
+        text, attempt = self._client.post(
+            payload,
+            _first_choice_text,
+            lambda failure: BackendUnavailableError(req.agent_id, req.round, failure),
+        )
+        latency_ms = (time.monotonic() - start) * 1000.0
+        return BackendResponse(raw_text=text, latency_ms=latency_ms, attempt=attempt)
 
 
 def is_retryable(err: Exception) -> bool:

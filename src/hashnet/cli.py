@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation failure / abort / strict skip,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field
@@ -30,9 +29,7 @@ from .errors import (
     ConfigError,
     EmbedderUnavailableError,
     HashnetError,
-    MetricError,
     NarrativeLoadError,
-    TranscriptError,
     is_integer,
     is_number,
 )
@@ -41,16 +38,19 @@ from .metrics import (
     TOKENIZATION_MODES,
     VALUE_FORMAT,
     HashingEmbedder,
+    MetricSeries,
     OneHotEmbedder,
     RemoteEmbedder,
+    UnigramModel,
     align_hashtags,
     build_unigram_model,
     corpus_digest,
     load_reference_corpus,
     metric_series,
     rank_abundance,
-    round_responses,
+    run_responses,
     write_alignment_csv,
+    write_csv,
     write_metadata,
     write_rank_abundance_csv,
     write_series_csv,
@@ -335,6 +335,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reference_model(settings: MetricsSettings) -> UnigramModel | None:
+    """Unigram model of the configured reference corpus; None when no corpus
+    is configured (the parser has checked that a configured one exists)."""
+    if settings.reference_corpus is None:
+        return None
+    return build_unigram_model(load_reference_corpus(settings.reference_corpus), settings.tokenization)
+
+
+def _series(
+    transcript: Transcript, settings: MetricsSettings, model: UnigramModel | None, include_fallbacks: bool
+) -> dict[str, MetricSeries]:
+    """Entropy and dominant-share series, plus perplexity when ``model`` is
+    given, by metric name."""
+    names = ("entropy", "dominant_share") + (("perplexity",) if model is not None else ())
+    return {
+        name: metric_series(
+            transcript,
+            name,
+            model=model,
+            base=settings.entropy_base,
+            dedup=settings.dedup,
+            include_fallbacks=include_fallbacks,
+        )
+        for name in names
+    }
+
+
 def _metric_outputs(
     transcript: Transcript,
     loaded: LoadedConfig,
@@ -347,30 +374,12 @@ def _metric_outputs(
     statuses: dict[str, str] = {}
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for metric in ("entropy", "dominant_share"):
-        series = metric_series(
-            transcript,
-            metric,
-            base=settings.entropy_base,
-            dedup=settings.dedup,
-            include_fallbacks=include_fallbacks,
-        )
-        write_series_csv(series, out_dir / f"{metric}.csv")
-        statuses[metric] = "computed"
-
-    if settings.reference_corpus is None:
+    model = _reference_model(settings)
+    for name, series in _series(transcript, settings, model, include_fallbacks).items():
+        write_series_csv(series, out_dir / f"{name}.csv")
+        statuses[name] = "computed"
+    if model is None:
         statuses["perplexity"] = "skipped: no reference corpus configured"
-    elif not settings.reference_corpus.is_file():
-        statuses["perplexity"] = f"skipped: reference corpus not found: {settings.reference_corpus}"
-    else:
-        model = build_unigram_model(
-            load_reference_corpus(settings.reference_corpus), settings.tokenization
-        )
-        series = metric_series(
-            transcript, "perplexity", model=model, include_fallbacks=include_fallbacks
-        )
-        write_series_csv(series, out_dir / "perplexity.csv")
-        statuses["perplexity"] = "computed"
 
     rac = rank_abundance(transcript, include_fallbacks=include_fallbacks)
     write_rank_abundance_csv(rac, out_dir / "rank_abundance.csv")
@@ -380,13 +389,7 @@ def _metric_outputs(
     if not narrative.events:
         statuses["alignment"] = f"skipped: narrative {narrative.id!r} has no events"
     else:
-        hashtags: list[str] = []
-        for round_index in range(1, transcript.rounds_completed() + 1):
-            hashtags.extend(
-                round_responses(
-                    transcript, round_index, include_fallbacks=include_fallbacks, form="raw"
-                )
-            )
+        hashtags = run_responses(transcript, include_fallbacks=include_fallbacks, form="raw")
         try:
             alignment = align_hashtags(hashtags, narrative, settings.embedder())
             write_alignment_csv(alignment, out_dir / "alignment.csv")
@@ -404,11 +407,7 @@ def _metric_outputs(
         "dedup": settings.dedup,
         "exclusion_policy": "exclude_fallbacks" if not include_fallbacks else "include_fallbacks",
         "reference_corpus": str(settings.reference_corpus) if settings.reference_corpus else None,
-        "reference_corpus_sha256": (
-            corpus_digest(settings.reference_corpus)
-            if settings.reference_corpus and settings.reference_corpus.is_file()
-            else None
-        ),
+        "reference_corpus_sha256": corpus_digest(settings.reference_corpus) if settings.reference_corpus else None,
         "narrative_id": narrative.id,
         "embedding": settings.embedding,
         "rank_abundance_entropy": rac.entropy,
@@ -448,58 +447,39 @@ def cmd_report(args: argparse.Namespace) -> int:
     loaded = build_config(*load_config(Path(args.config)), args)
     settings = loaded.metrics
     include_fallbacks = not args.exclude_fallbacks
+    model = _reference_model(settings)
 
-    model = None
-    if settings.reference_corpus is not None and settings.reference_corpus.is_file():
-        model = build_unigram_model(
-            load_reference_corpus(settings.reference_corpus), settings.tokenization
-        )
-
-    out_dir = Path(args.out) if args.out else (loaded.metrics_dir or Path("report"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    series_rows: dict[str, list[tuple[str, int, float]]] = {"entropy": [], "dominant_share": []}
-    if model is not None:
-        series_rows["perplexity"] = []
+    series_rows: dict[str, list[tuple[str, int, str]]] = {}
     rac_rows: list[tuple[str, int, str, int]] = []
-    runs: list[str] = []
-
+    paths: dict[str, Path] = {}  # run label -> its transcript
     for path_text in args.transcripts:
         path = Path(path_text)
         if not path.is_file():
             raise _IOFailure(f"transcript not found: {path}")
         transcript = read_transcript(path)
         label = transcript.header.get("run_id") or path.stem
-        runs.append(label)
-        for metric in series_rows:
-            series = metric_series(
-                transcript,
-                metric,
-                model=model,
-                base=settings.entropy_base,
-                dedup=settings.dedup,
-                include_fallbacks=include_fallbacks,
+        if label in paths:
+            raise _ValidationFailure(
+                f"{paths[label]} and {path} are both labelled {label!r}; give each run its own run_id"
             )
-            series_rows[metric].extend((label, r, v) for r, v in series.values)
+        paths[label] = path
+        for metric, series in _series(transcript, settings, model, include_fallbacks).items():
+            series_rows.setdefault(metric, []).extend(
+                (label, round_index, format(value, VALUE_FORMAT)) for round_index, value in series.values
+            )
         rac = rank_abundance(transcript, include_fallbacks=include_fallbacks)
         rac_rows.extend(
             (label, rank, tag, count) for rank, (tag, count) in enumerate(rac.table, start=1)
         )
 
+    out_dir = Path(args.out) if args.out else (loaded.metrics_dir or Path("report"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     for metric, rows in series_rows.items():
-        with open(out_dir / f"{metric}.csv", "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["run", "round", "value"])
-            for label, round_index, value in rows:
-                writer.writerow([label, round_index, format(value, VALUE_FORMAT)])
-    with open(out_dir / "rank_abundance.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["run", "rank", "hashtag", "count"])
-        for row in rac_rows:
-            writer.writerow(list(row))
+        write_csv(("run", "round", "value"), rows, out_dir / f"{metric}.csv")
+    write_csv(("run", "rank", "hashtag", "count"), rac_rows, out_dir / "rank_abundance.csv")
     write_metadata(
         {
-            "runs": runs,
+            "runs": list(paths),
             "entropy_base": settings.entropy_base,
             "tokenization": settings.tokenization,
             "dedup": settings.dedup,
@@ -508,7 +488,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         },
         out_dir / "metadata.json",
     )
-    print(f"report for {len(runs)} run(s) written to {out_dir}")
+    print(f"report for {len(paths)} run(s) written to {out_dir}")
     return EXIT_OK
 
 
@@ -557,12 +537,12 @@ def main(argv: list[str] | None = None) -> int:
         for field_path, message in err.violations:
             print(f"  {field_path}: {message}")
         return EXIT_INVALID
-    except (_ValidationFailure, ConfigError, NarrativeLoadError, TranscriptError, MetricError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except (_IOFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except HashnetError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import os
-import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -21,10 +19,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
-import requests
 
-from .agents import is_retryable
-from .engine import Transcript, normalize_hashtag
+from .agents import HttpClient
+from .engine import InteractionRecord, Transcript, normalize_hashtag
 from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer
 from .narrative import FocalNarrative
 
@@ -76,16 +73,19 @@ class AlignmentResult:
     counts: Mapping[str, int]
 
 
-def round_responses(
-    transcript: Transcript,
-    round_index: int,
-    *,
-    include_fallbacks: bool = True,
-    form: str = "normalized",
+def _rounds(transcript: Transcript) -> list[list[InteractionRecord]]:
+    """Records of rounds 1..rounds_completed(), grouped by round in one
+    pass over the records; a round without records gets an empty list."""
+    grouped: dict[int, list[InteractionRecord]] = {}
+    for record in transcript.records:
+        grouped.setdefault(record.round, []).append(record)
+    return [grouped.get(round_index, []) for round_index in range(1, max(grouped, default=0) + 1)]
+
+
+def _responses(
+    records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool, form: str
 ) -> list[str]:
-    """Hashtags of every paired agent in one round, two per record, in
-    canonical record order. ``form`` selects raw or normalized text."""
-    records = transcript.records_for_round(round_index)
+    """Hashtags of one round's records, two per record, in record order."""
     if not records:
         raise MetricError(f"transcript has no records for round {round_index}")
     out: list[str] = []
@@ -95,6 +95,40 @@ def round_responses(
                 continue
             out.append(tag.raw if form == "raw" else tag.normalized)
     return out
+
+
+def _distribution(responses: list[str], round_index: int, dedup: str) -> HashtagDistribution:
+    if dedup not in DEDUP_POLICIES:
+        raise ConfigError("dedup", f"must be one of {DEDUP_POLICIES}, got {dedup!r}")
+    if not responses:
+        raise MetricError(f"round {round_index} has no responses after exclusions")
+    if dedup == "unique":
+        responses = sorted(set(responses))
+    return HashtagDistribution.from_responses(responses)
+
+
+def round_responses(
+    transcript: Transcript,
+    round_index: int,
+    *,
+    include_fallbacks: bool = True,
+    form: str = "normalized",
+) -> list[str]:
+    """Hashtags of every paired agent in one round, two per record, in
+    canonical record order. ``form`` selects raw or normalized text."""
+    return _responses(transcript.records_for_round(round_index), round_index, include_fallbacks, form)
+
+
+def run_responses(
+    transcript: Transcript, *, include_fallbacks: bool = True, form: str = "normalized"
+) -> list[str]:
+    """``round_responses`` of every completed round, concatenated in round
+    order."""
+    return [
+        tag
+        for round_index, records in enumerate(_rounds(transcript), start=1)
+        for tag in _responses(records, round_index, include_fallbacks, form)
+    ]
 
 
 def round_distribution(
@@ -109,14 +143,8 @@ def round_distribution(
     ``per_response`` counts every response once; ``unique`` keeps each
     distinct hashtag once.
     """
-    if dedup not in DEDUP_POLICIES:
-        raise ConfigError("dedup", f"must be one of {DEDUP_POLICIES}, got {dedup!r}")
     responses = round_responses(transcript, round_index, include_fallbacks=include_fallbacks)
-    if not responses:
-        raise MetricError(f"round {round_index} has no responses after exclusions")
-    if dedup == "unique":
-        responses = sorted(set(responses))
-    return HashtagDistribution.from_responses(responses)
+    return _distribution(responses, round_index, dedup)
 
 
 def shannon_entropy(dist: HashtagDistribution, base: float = 2.0) -> float:
@@ -269,56 +297,22 @@ class HashingEmbedder:
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible embeddings client with bounded retries; what it
-    retries is what the remote chat backend retries (``is_retryable``)."""
+    """OpenAI-compatible embeddings client. Its settings are checked, and
+    its requests retried, by the ``HttpClient`` the remote chat backend
+    uses."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        *,
-        api_key_env: str = "HASHNET_API_KEY",
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 1.0,
-        session: requests.Session | None = None,
-    ):
-        for name, value in (("base_url", base_url), ("model", model)):
-            if not isinstance(value, str) or not value:
-                raise ConfigError(name, "required for the remote provider")
-        if not is_integer(max_retries) or max_retries < 1:
-            raise ConfigError("max_retries", f"must be a positive integer, got {max_retries!r}")
-        self._url = base_url.rstrip("/") + "/embeddings"
-        self._model = model
-        self._api_key_env = api_key_env
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
-        self._session = session or requests.Session()
+    def __init__(self, base_url: str, model: str, **settings):
+        """``settings`` are ``HttpClient``'s keyword arguments."""
+        self._client = HttpClient(base_url, "/embeddings", model, **settings)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        payload = {"model": self._model, "input": list(texts)}
-        headers = {}
-        api_key = os.environ.get(self._api_key_env, "")
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        failure = ""
-        for attempt in range(1, self._max_retries + 1):
-            try:
-                response = self._session.post(
-                    self._url, json=payload, headers=headers, timeout=self._timeout
-                )
-                response.raise_for_status()
-                data = response.json()["data"]
-                rows = sorted(data, key=lambda entry: entry.get("index", 0))
-                return np.array([row["embedding"] for row in rows], dtype=float)
-            except (requests.RequestException, ValueError, KeyError, TypeError) as err:
-                failure = f"{type(err).__name__}: {err}"
-                if not is_retryable(err):
-                    break
-                if attempt < self._max_retries:
-                    time.sleep(self._backoff * 2 ** (attempt - 1))
-        raise EmbedderUnavailableError(failure)
+        payload = {"model": self._client.model, "input": list(texts)}
+        return self._client.post(payload, _embedding_rows, EmbedderUnavailableError)[0]
+
+
+def _embedding_rows(reply: dict) -> np.ndarray:
+    rows = sorted(reply["data"], key=lambda entry: entry.get("index", 0))
+    return np.array([row["embedding"] for row in rows], dtype=float)
 
 
 def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,11 +368,7 @@ def rank_abundance(
     lexicographically) plus the entropy of the full distribution."""
     if not transcript.records:
         raise MetricError("transcript has no records")
-    counts: Counter[str] = Counter()
-    for round_index in range(1, transcript.rounds_completed() + 1):
-        counts.update(
-            round_responses(transcript, round_index, include_fallbacks=include_fallbacks)
-        )
+    counts = Counter(run_responses(transcript, include_fallbacks=include_fallbacks))
     if not counts:
         raise MetricError("transcript has no responses after exclusions")
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
@@ -406,18 +396,14 @@ def metric_series(
         raise MetricError("perplexity requires a unigram reference model")
 
     values: list[tuple[int, float]] = []
-    for round_index in range(1, transcript.rounds_completed() + 1):
+    for round_index, records in enumerate(_rounds(transcript), start=1):
         try:
             if metric == "perplexity":
                 assert model is not None
-                responses = round_responses(
-                    transcript, round_index, include_fallbacks=include_fallbacks, form="raw"
-                )
-                value = perplexity(model, responses)
+                value = perplexity(model, _responses(records, round_index, include_fallbacks, "raw"))
             else:
-                dist = round_distribution(
-                    transcript, round_index, dedup, include_fallbacks=include_fallbacks
-                )
+                responses = _responses(records, round_index, include_fallbacks, "normalized")
+                dist = _distribution(responses, round_index, dedup)
                 value = shannon_entropy(dist, base) if metric == "entropy" else dominant_share(dist)
         except MetricError as err:
             raise MetricError(f"round {round_index}: {err}") from err
@@ -428,28 +414,25 @@ def metric_series(
 # --- CSV output ----------------------------------------------------------------
 
 
-def write_series_csv(series: MetricSeries, path: str | Path) -> None:
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:
+    """One CSV file: UTF-8, LF line ends, the header row first."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["round", "value"])
-        for round_index, value in series.values:
-            writer.writerow([round_index, format(value, VALUE_FORMAT)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_series_csv(series: MetricSeries, path: str | Path) -> None:
+    write_csv(("round", "value"), ((r, format(v, VALUE_FORMAT)) for r, v in series.values), path)
 
 
 def write_rank_abundance_csv(result: RankAbundance, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "hashtag", "count"])
-        for rank, (tag, count) in enumerate(result.table, start=1):
-            writer.writerow([rank, tag, count])
+    rows = ((rank, tag, count) for rank, (tag, count) in enumerate(result.table, start=1))
+    write_csv(("rank", "hashtag", "count"), rows, path)
 
 
 def write_alignment_csv(result: AlignmentResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["event", "count"])
-        for label, count in result.counts.items():
-            writer.writerow([label, count])
+    write_csv(("event", "count"), result.counts.items(), path)
 
 
 def write_metadata(metadata: dict, path: str | Path) -> None:

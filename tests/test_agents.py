@@ -257,19 +257,27 @@ class TestMockMemo:
 
 class TestReplayBackend:
     def _write_transcript(self, path):
+        # Agents 3 and 5 meet in round 7; agents 0 and 1 fill rounds 1-6,
+        # since the reader requires rounds contiguous from 1.
         header = {"run_id": "t", "config": {}, "seed": 0, "narrative_id": "x",
                   "network_edges": [], "timestamp": "1970-01-01T00:00:00Z"}
-        record = {
-            "round": 7, "agent_a": 3, "agent_b": 5,
-            "raw_a": "#Setsuden", "raw_b": "#Other",
-            "hashtag_a": {"raw": "#Setsuden", "normalized": "setsuden"},
-            "hashtag_b": {"raw": "#Other", "normalized": "other"},
-            "match": False, "points_a": 0, "points_b": 0,
-            "fallback_a": False, "fallback_b": False,
-        }
+
+        def record(round_index, agent_a, agent_b, raw_a, raw_b):
+            return {
+                "round": round_index, "agent_a": agent_a, "agent_b": agent_b,
+                "raw_a": raw_a, "raw_b": raw_b,
+                "hashtag_a": {"raw": raw_a, "normalized": raw_a.lstrip("#").lower()},
+                "hashtag_b": {"raw": raw_b, "normalized": raw_b.lstrip("#").lower()},
+                "match": False, "points_a": 0, "points_b": 0,
+                "fallback_a": False, "fallback_b": False,
+            }
+
+        records = [record(r, 0, 1, "#Filler", "#Other") for r in range(1, 7)]
+        records.append(record(7, 3, 5, "#Setsuden", "#Other"))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps(record) + "\n")
+            for doc in records:
+                handle.write(json.dumps(doc) + "\n")
 
     def test_lookup(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from hashnet import AgentSpec, read_transcript, run_simulation
-from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main, validate_config
 
 from conftest import FIXTURES, REPO
 
@@ -111,6 +111,17 @@ class TestValidate:
         path = write_config(tmp_path, small_mock_doc(metrics={"embedding": embedding}))
         assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
         assert "  metrics.embedding.dim: " in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("timeout", "60"),
+        ("api_key_env", ""),
+        ("max_retries", 0),
+    ])
+    def test_remote_embedding_settings_checked_like_remote_backend(self, tmp_path, key, value):
+        embedding = {"provider": "remote", "base_url": "http://127.0.0.1:1/v1", "model": "m", key: value}
+        violations = validate_config(small_mock_doc(metrics={"embedding": embedding}), tmp_path)
+        assert [field_path for field_path, _ in violations] == [f"metrics.embedding.{key}"]
 
 
 def _constant_agents(n, **first_agent):
@@ -222,6 +233,41 @@ class TestSimulate:
         assert transcript.records  # partial transcript retained
 
 
+def _replay_doc(demo_config_path, transcript_path, rounds):
+    doc = json.loads(demo_config_path.read_text(encoding="utf-8"))
+    del doc["metrics"], doc["output"]
+    doc["rounds"] = rounds
+    doc["agents"] = {"backend": "replay", "count": 20, "params": {"transcript": str(transcript_path)}}
+    return doc
+
+
+class TestReplayFailures:
+    """A replay that cannot go on ends in an ``error:`` line and exit 1."""
+
+    def _assert_reported(self, capsys, code):
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_more_rounds_than_recorded(self, demo_config_path, tmp_path, capsys):
+        source = tmp_path / "source"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(source)) == EXIT_OK
+        config = write_config(tmp_path, _replay_doc(demo_config_path, source / "transcript.jsonl", 41))
+        code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "replay"))
+        assert "round 41" in self._assert_reported(capsys, code)
+
+    def test_torn_last_line(self, demo_config_path, tmp_path, capsys):
+        source = tmp_path / "source"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(source)) == EXIT_OK
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes((source / "transcript.jsonl").read_bytes()[:-20])
+        config = write_config(tmp_path, _replay_doc(demo_config_path, torn, 40))
+        code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "replay"))
+        assert "invalid JSON" in self._assert_reported(capsys, code)
+
+
 class TestMetrics:
     def test_fixture_goldens_byte_equal(self, tmp_path):
         out_dir = tmp_path / "metrics"
@@ -330,6 +376,43 @@ class TestReport:
         assert rac[0] == "run,rank,hashtag,count"
         metadata = json.loads((report_dir / "metadata.json").read_text())
         assert len(metadata["runs"]) == 2
+
+    def test_output_bytes_are_pinned(self, demo_config_path, tmp_path):
+        run_a, run_b = tmp_path / "a", tmp_path / "b"
+        run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_a))
+        run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_b), "--seed", "99")
+        report_dir = tmp_path / "report"
+        assert run_cli(
+            "report", str(run_a / "transcript.jsonl"), str(run_b / "transcript.jsonl"),
+            "--config", str(demo_config_path), "--out", str(report_dir),
+        ) == EXIT_OK
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in report_dir.iterdir()
+        }
+        assert digests == {
+            "dominant_share.csv": "289838c68efcb0a8486d57151830ba5fdeca1488f6ee32877220610a9422f2ce",
+            "entropy.csv": "dea081a5fa1980e8e6a52e3f4581d0459e8e793ab178748fb87bddde3ade8c48",
+            "metadata.json": "61907cca32ca698d7e30bf27a8a93ae392079b053925ea309f4a254c0355e03d",
+            "perplexity.csv": "23e98c4d82a77d96a7d7088624b1d62d6ddec7a26ed61b12ed1413fa39ac6f5d",
+            "rank_abundance.csv": "1c4f0dc31af82f36b38535f957632d892d5a74d5dc22cb213e8d8192e0dc6a92",
+        }
+
+    def test_runs_sharing_a_run_id_are_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_mock_doc(run_id="x"))
+        paths = []
+        for seed in ("1", "2"):
+            out_dir = tmp_path / f"seed{seed}"
+            assert run_cli("simulate", "--config", str(config), "--out", str(out_dir), "--seed", seed) == EXIT_OK
+            paths.append(str(out_dir / "transcript.jsonl"))
+        capsys.readouterr()
+        report_dir = tmp_path / "report"
+        code = run_cli("report", *paths, "--config", str(config), "--out", str(report_dir))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert paths[0] in err and paths[1] in err
+        assert "run_id" in err
+        assert not report_dir.exists()
 
 
 def test_module_entry_point():

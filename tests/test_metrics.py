@@ -307,6 +307,14 @@ class TestAlignment:
         assert embedder.embed(["#xy"]).tolist() == [[3.0, 1.0]]
         assert len(stub_server.requests) == 3
 
+    def test_remote_embedder_sends_the_api_key(self, stub_server, monkeypatch):
+        monkeypatch.setenv("EMBED_KEY", "secret-token")
+        RemoteEmbedder(stub_server.base_url, "m", api_key_env="EMBED_KEY").embed(["#x"])
+        path, payload, headers = stub_server.requests[0]
+        assert path.endswith("/embeddings")
+        assert payload == {"model": "m", "input": ["#x"]}
+        assert headers.get("Authorization") == "Bearer secret-token"
+
     def test_hashing_embedder_is_deterministic_and_normalized(self):
         embedder = HashingEmbedder(dim=64)
         a = embedder.embed(["#storm", "#storm", "#other"])
@@ -375,6 +383,40 @@ class TestMetricSeries:
         series = metric_series(fixture_transcript, "entropy")
         rounds = [r for r, _ in series.values]
         assert rounds == sorted(set(rounds))
+
+    def test_round_without_records_raises(self):
+        records = [make_record(1, 0, 1, "#x", "#x"), make_record(3, 0, 1, "#x", "#x")]
+        transcript = Transcript(header={}, records=records)
+        with pytest.raises(MetricError, match="no records for round 2"):
+            metric_series(transcript, "entropy")
+        with pytest.raises(MetricError, match="no records for round 2"):
+            rank_abundance(transcript)
+
+
+class CountingRecords(list):
+    """A record list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _record_passes(rounds: int) -> int:
+    records = CountingRecords(
+        make_record(t, a, a + 1, f"#t{(t + a) % 3}", "#x") for t in range(1, rounds + 1) for a in (0, 2)
+    )
+    transcript = Transcript(header={}, records=records)
+    model = build_unigram_model(["#x", "#t0"])
+    for metric in ("entropy", "dominant_share", "perplexity"):
+        assert len(metric_series(transcript, metric, model=model).values) == rounds
+    rank_abundance(transcript)
+    return records.iterations
+
+
+def test_metrics_read_the_records_a_fixed_number_of_times():
+    assert _record_passes(5) == _record_passes(50)
 
 
 def test_metrics_pure_function_of_file(tmp_path):
