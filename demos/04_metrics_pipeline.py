@@ -7,7 +7,7 @@ against a reference corpus, the rank-abundance table, and embedding-based
 narrative alignment. Ends by pointing at the equivalent CLI invocations.
 """
 
-import json
+import argparse
 from pathlib import Path
 
 from hashnet import (
@@ -20,19 +20,12 @@ from hashnet import (
     run_simulation,
 )
 from hashnet.cli import build_config, load_config
-from hashnet.metrics import load_reference_corpus, round_responses
+from hashnet.metrics import load_reference_corpus, run_responses
 
 HERE = Path(__file__).parent
 
 doc, base_dir = load_config(HERE / "config_mock.json")
-
-
-class _Args:
-    seed = None
-    parallelism = None
-
-
-loaded = build_config(doc, base_dir, _Args())
+loaded = build_config(doc, base_dir, argparse.Namespace(seed=None, parallelism=None))
 out_path = HERE / "out" / "transcript.jsonl"
 out_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -57,10 +50,7 @@ for rank, (tag, count) in enumerate(rac.table, start=1):
     print(f"  {rank:>2}. {tag:<24} {count:>4}")
 
 narrative = load_narrative(loaded.run.narrative_path)
-hashtags = []
-for t in range(1, transcript.rounds_completed() + 1):
-    hashtags.extend(round_responses(transcript, t, form="raw"))
-alignment = align_hashtags(hashtags, narrative, HashingEmbedder(dim=256))
+alignment = align_hashtags(run_responses(transcript, form="raw"), narrative, HashingEmbedder(dim=256))
 print("\nnarrative alignment (hashed-trigram embedder):")
 for label, count in alignment.counts.items():
     print(f"  {label:<20} {count:>4}")

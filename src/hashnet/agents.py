@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
 import numpy as np
 import requests
 
-from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number
+from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown
 
 BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
@@ -286,11 +286,11 @@ class ReplayBackend:
         round. The file is read, and checked, by ``read_transcript``."""
         from .engine import read_transcript  # engine imports this module
 
-        responses: dict[tuple[int, int], str] = {}
-        for record in read_transcript(path).records:
-            responses[(record.agent_a, record.round)] = record.raw_a
-            responses[(record.agent_b, record.round)] = record.raw_b
-        return cls(responses)
+        return cls({
+            (agent, record.round): raw
+            for record in read_transcript(path).records
+            for agent, raw, _, _ in record.sides()
+        })
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         key = (req.agent_id, req.round)
@@ -423,6 +423,7 @@ def _first_choice_text(data: dict) -> str:
 
 
 def _replay_source(spec: AgentSpec) -> str:
+    reject_unknown(spec.backend_params, ("transcript",), f"agents[{spec.agent_id}].backend_params.")
     source = spec.backend_params.get("transcript")
     if not isinstance(source, str) or not source:
         raise ConfigError(
@@ -439,8 +440,11 @@ def build_backend(spec: AgentSpec) -> Backend:
         return ReplayBackend.from_transcript(_replay_source(spec))
     try:
         if spec.backend == "mock":
+            reject_unknown(params, ("strategy", "lexicon"), "backend_params.")
             return MockBackend(params.get("strategy"), lexicon=params.get("lexicon"))
         if spec.backend == "remote":
+            remote_keys = ("base_url", "model", "api_key_env", "timeout", "max_retries", "backoff", "max_in_flight")
+            reject_unknown(params, remote_keys, "backend_params.")
             return RemoteBackend(
                 params.get("base_url"),
                 params.get("model"),

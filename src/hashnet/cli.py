@@ -32,6 +32,7 @@ from .errors import (
     NarrativeLoadError,
     is_integer,
     is_number,
+    reject_unknown,
 )
 from .metrics import (
     DEDUP_POLICIES,
@@ -72,6 +73,7 @@ _TOP_LEVEL_KEYS = {
     "parallelism", "match_on", "metrics", "output", "run_id",
 }
 _EMBEDDING_PROVIDERS = ("onehot", "hashing", "remote")
+_DIM_EMBEDDING_KEYS = ("provider", "dim")
 
 
 @dataclass
@@ -105,9 +107,12 @@ class MetricsSettings(Checked):
         embedding = self.embedding
         provider = embedding.get("provider", "hashing")
         if provider == "onehot":
+            reject_unknown(embedding, _DIM_EMBEDDING_KEYS, "")
             return OneHotEmbedder(dim=embedding.get("dim", 4096))
         if provider == "hashing":
+            reject_unknown(embedding, _DIM_EMBEDDING_KEYS, "")
             return HashingEmbedder(dim=embedding.get("dim", 256))
+        reject_unknown(embedding, ("provider", "base_url", "model", "api_key_env", "timeout", "max_retries"), "")
         return RemoteEmbedder(
             embedding.get("base_url"),
             embedding.get("model"),
@@ -144,7 +149,7 @@ def load_config(path: Path) -> tuple[dict, Path]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise _ValidationFailure(
+        raise HashnetError(
             f"config parse error in {path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
     return doc, path.resolve().parent
@@ -157,14 +162,20 @@ def _parse(
 
     Builds each config object once and returns it with every violation
     found, as (field path, message) pairs. The objects check their own
-    values; this function checks only the document's shape: unknown keys,
-    sections that are not objects, the ``agents`` expansion, paths that
-    must exist, and whether the narrative loads. CLI overrides in ``args``
-    are applied before the checks.
+    values; this function checks only the document's shape: unknown keys
+    (backend ``params`` and ``metrics.embedding`` keys are checked where
+    they are read), sections that are not objects, the ``agents``
+    expansion, paths that must exist, and whether the narrative loads.
+    CLI overrides in ``args`` are applied before the checks.
     """
     if not isinstance(doc, dict):
         return None, [("$", "config document must be a JSON object")]
-    violations = [(key, "unknown field") for key in doc if key not in _TOP_LEVEL_KEYS]
+    violations: list[tuple[str, str]] = []
+
+    def unknown(value: dict, prefix: str, known) -> None:
+        violations.extend((prefix + key, "unknown field") for key in value if key not in known)
+
+    unknown(doc, "", _TOP_LEVEL_KEYS)
 
     def section(parent: dict, name: str, path: str, default: dict | None = None) -> dict:
         value = parent.get(name, {} if default is None else default)
@@ -174,6 +185,7 @@ def _parse(
         return {}
 
     topology_doc = section(doc, "topology", "topology")
+    unknown(topology_doc, "topology.", ("n", "k", "p", "seed"))
     topology = TopologySpec(
         n=topology_doc.get("n", DEFAULT_TOPOLOGY["n"]),
         k=topology_doc.get("k", DEFAULT_TOPOLOGY["k"]),
@@ -183,6 +195,7 @@ def _parse(
 
     agents_doc = doc.get("agents")
     if isinstance(agents_doc, dict):
+        unknown(agents_doc, "agents.", ("backend", "count", "params"))
         count = agents_doc.get("count", topology.n)
         if not is_integer(count) or count < 1:
             if "count" in agents_doc:
@@ -190,6 +203,9 @@ def _parse(
             count = 0
         entries = [dict(agents_doc, agent_id=i) for i in range(count)]
     elif isinstance(agents_doc, list):
+        for i, entry in enumerate(agents_doc):
+            if isinstance(entry, dict):
+                unknown(entry, f"agents[{i}].", ("agent_id", "backend", "params"))
         entries = [
             dict({"agent_id": i}, **entry) if isinstance(entry, dict) else {"agent_id": i, "backend": entry}
             for i, entry in enumerate(agents_doc)
@@ -221,6 +237,7 @@ def _parse(
             violations.append((f"narrative.{err.field}" if err.field != "$" else "narrative", err.message))
 
     decode_doc = section(doc, "decode", "decode")
+    unknown(decode_doc, "decode.", ("temperature", "max_tokens"))
     overrides = {
         key: getattr(args, key) for key in ("seed", "parallelism") if getattr(args, key, None) is not None
     }
@@ -240,6 +257,7 @@ def _parse(
     )
 
     metrics_doc = section(doc, "metrics", "metrics")
+    unknown(metrics_doc, "metrics.", ("reference_corpus", "tokenization", "entropy_base", "dedup", "embedding"))
     corpus = metrics_doc.get("reference_corpus")
     if corpus is not None and not isinstance(corpus, str):
         violations.append(("metrics.reference_corpus", "must be a path string"))
@@ -261,6 +279,7 @@ def _parse(
         if value is not None and not isinstance(value, str):
             violations.append((f"output.{key}", "must be a path string"))
         outputs[key] = _resolve(base_dir, value) if isinstance(value, str) else None
+    unknown(output_doc, "output.", outputs)
 
     violations += [(err.field, err.message) for err in run.violations() + settings.violations()]
     loaded = LoadedConfig(run, settings, transcript_out=outputs["transcript"], metrics_dir=outputs["metrics_dir"])
@@ -289,10 +308,6 @@ class InvalidConfig(HashnetError):
     def __init__(self, violations: list[tuple[str, str]]):
         super().__init__("; ".join(f"{field_path}: {message}" for field_path, message in violations))
         self.violations = violations
-
-
-class _ValidationFailure(HashnetError):
-    pass
 
 
 class _IOFailure(HashnetError):
@@ -459,7 +474,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         transcript = read_transcript(path)
         label = transcript.header.get("run_id") or path.stem
         if label in paths:
-            raise _ValidationFailure(
+            raise HashnetError(
                 f"{paths[label]} and {path} are both labelled {label!r}; give each run its own run_id"
             )
         paths[label] = path

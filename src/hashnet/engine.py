@@ -13,6 +13,7 @@ import hashlib
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,35 +23,21 @@ from . import rng as rng_streams
 from .agents import (
     AgentSpec,
     BackendRequest,
-    BackendResponse,
     DecodeParams,
     INTERACTION_TABLE_HEADER,
     build_backends,
     render_interaction_row,
     render_interaction_table,
 )
-from .errors import BackendUnavailableError, Checked, ConfigError, ParseError, TranscriptError, is_integer
+from .errors import (
+    BackendUnavailableError, Checked, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
+)
 from .narrative import FocalNarrative, load_narrative
 from .topology import Network, TopologySpec, generate_network, pair_round
 
 WORD_CAP = 5
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
-
-RECORD_FIELDS = (
-    "round",
-    "agent_a",
-    "agent_b",
-    "raw_a",
-    "raw_b",
-    "hashtag_a",
-    "hashtag_b",
-    "match",
-    "points_a",
-    "points_b",
-    "fallback_a",
-    "fallback_b",
-)
 
 
 def normalize_hashtag(text: str) -> str:
@@ -210,21 +197,16 @@ class InteractionRecord:
     fallback_a: bool
     fallback_b: bool
 
+    def sides(self) -> tuple[tuple[int, str, str, str], tuple[int, str, str, str]]:
+        """(agent, raw text, own raw hashtag, neighbor raw hashtag) of side a, then of side b."""
+        return (
+            (self.agent_a, self.raw_a, self.hashtag_a.raw, self.hashtag_b.raw),
+            (self.agent_b, self.raw_b, self.hashtag_b.raw, self.hashtag_a.raw),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "agent_a": self.agent_a,
-            "agent_b": self.agent_b,
-            "raw_a": self.raw_a,
-            "raw_b": self.raw_b,
-            "hashtag_a": {"raw": self.hashtag_a.raw, "normalized": self.hashtag_a.normalized},
-            "hashtag_b": {"raw": self.hashtag_b.raw, "normalized": self.hashtag_b.normalized},
-            "match": self.match,
-            "points_a": self.points_a,
-            "points_b": self.points_b,
-            "fallback_a": self.fallback_a,
-            "fallback_b": self.fallback_b,
-        }
+        """The record's JSON object, keys in field order."""
+        return {**vars(self), "hashtag_a": dict(vars(self.hashtag_a)), "hashtag_b": dict(vars(self.hashtag_b))}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
@@ -266,15 +248,11 @@ class Transcript:
     def agent_history(self, agent_id: int, before_round: int | None = None) -> list[tuple[int, str, str]]:
         """(round, own_guess, neighbor_guess) rows for one agent, raw
         hashtags, in round order; rounds the agent sat out contribute no row."""
-        rows: list[tuple[int, str, str]] = []
-        for record in self.records:
-            if before_round is not None and record.round >= before_round:
-                continue
-            if record.agent_a == agent_id:
-                rows.append((record.round, record.hashtag_a.raw, record.hashtag_b.raw))
-            elif record.agent_b == agent_id:
-                rows.append((record.round, record.hashtag_b.raw, record.hashtag_a.raw))
-        return rows
+        return [
+            (record.round, own, other)
+            for record in self.records if before_round is None or record.round < before_round
+            for agent, _, own, other in record.sides() if agent == agent_id
+        ]
 
     def match_rate(self) -> float:
         if not self.records:
@@ -296,10 +274,13 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    """Parse a transcript file, checking round contiguity and record order."""
+    """Parse a transcript file, checking that rounds run contiguously from 1
+    and that (round, agent_a) strictly increases from record to record."""
     header: dict | None = None
     records: list[InteractionRecord] = []
     abort: dict | None = None
+    # A record either opens the next round or follows the last agent_a.
+    last_round, last_agent = 0, float("inf")
     with open(path, encoding="utf-8") as handle:
         for i, line in enumerate(handle):
             if not line.strip():
@@ -313,15 +294,16 @@ def read_transcript(path: str | Path) -> Transcript:
             elif isinstance(doc, dict) and doc.get("abort"):
                 abort = doc
             else:
-                records.append(InteractionRecord.from_dict(doc))
+                record = InteractionRecord.from_dict(doc)
+                if not (record.round == last_round + 1 or (record.round == last_round and record.agent_a > last_agent)):
+                    raise TranscriptError(
+                        f"{path}: line {i + 1}: round {record.round!r}, agent_a {record.agent_a!r} is out of "
+                        "order; rounds run contiguously from 1 and (round, agent_a) strictly increases"
+                    )
+                last_round, last_agent = record.round, record.agent_a
+                records.append(record)
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
-    rounds = sorted({r.round for r in records})
-    if rounds and rounds != list(range(1, rounds[-1] + 1)):
-        raise TranscriptError(f"{path}: rounds are not contiguous from 1: {rounds}")
-    ordered = sorted(records, key=lambda r: (r.round, r.agent_a))
-    if records != ordered:
-        raise TranscriptError(f"{path}: records are not in canonical (round, agent_a) order")
     return Transcript(header=header, records=records, abort=abort)
 
 
@@ -432,7 +414,9 @@ def run_simulation(
 
     If more than half of a round's pairs hit an unavailable backend even
     after fallbacks, the run aborts: completed records are kept and an
-    explicit abort marker ends the transcript.
+    explicit abort marker ends the transcript. A replay backend with no
+    recorded response also ends the transcript with an abort marker, then
+    its ``ReplayGapError`` propagates.
     """
     config.validate(graph_n=network.n if network is not None else None)
     narrative = load_narrative(config.narrative_path)
@@ -460,113 +444,88 @@ def run_simulation(
     tables = {i: INTERACTION_TABLE_HEADER for i in range(network.n)}
     last_guess: dict[int, str] = {}
 
-    handle = open(out_path, "w", encoding="utf-8", newline="\n") if out_path is not None else None
-    pool = ThreadPoolExecutor(max_workers=config.parallelism) if config.parallelism > 1 else None
-    try:
-        if handle is not None:
-            _write_line(handle, header)
-            handle.flush()
+    with ExitStack() as stack:
+        handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
+        pool = stack.enter_context(ThreadPoolExecutor(config.parallelism)) if config.parallelism > 1 else None
 
+        def emit(*docs: dict) -> None:
+            if handle is not None:
+                for doc in docs:
+                    _write_line(handle, doc)
+                handle.flush()
+
+        def stop(round_index: int, reason: str) -> None:
+            transcript.abort = {"abort": True, "round": round_index, "reason": reason}
+            emit(transcript.abort)
+
+        emit(header)
         for round_index in range(1, config.rounds + 1):
             pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
             participants = [agent for pair in pairing.pairs for agent in pair]
-            prompts = {
-                agent: _render_prompt(round_index, tables[agent], narrative.full_text)
-                for agent in participants
-            }
 
-            def invoke(agent: int) -> tuple[str, str]:
+            def invoke(agent: int) -> str | None:
                 request = BackendRequest(
-                    prompt=prompts[agent],
+                    prompt=_render_prompt(round_index, tables[agent], narrative.full_text),
                     round=round_index,
                     agent_id=agent,
                     decode=config.decode,
                 )
                 agent_rng = rng_streams.agent_rng(config.seed, round_index, agent)
                 try:
-                    response: BackendResponse = backends[agent].respond(request, agent_rng)
-                    return ("ok", response.raw_text)
-                except BackendUnavailableError as err:
-                    return ("unavailable", str(err))
+                    return backends[agent].respond(request, agent_rng).raw_text
+                except BackendUnavailableError:
+                    return None
 
-            if pool is not None:
-                outcomes = dict(zip(participants, pool.map(invoke, participants)))
-            else:
-                outcomes = {agent: invoke(agent) for agent in participants}
+            try:
+                texts = dict(zip(participants, (pool.map if pool is not None else map)(invoke, participants)))
+            except ReplayGapError as err:
+                stop(round_index, str(err))
+                raise
 
-            unavailable_pairs = 0
             round_records: list[InteractionRecord] = []
             for a, b in pairing.pairs:
-                raw_a, tag_a, fb_a, down_a = _finalize(outcomes[a], last_guess.get(a))
-                raw_b, tag_b, fb_b, down_b = _finalize(outcomes[b], last_guess.get(b))
-                if down_a or down_b:
-                    unavailable_pairs += 1
-                if config.match_on == "raw":
-                    match = tag_a.raw == tag_b.raw
-                else:
-                    match = tag_a.normalized == tag_b.normalized
+                raw_a, tag_a, fb_a = _finalize(texts[a], last_guess.get(a))
+                raw_b, tag_b, fb_b = _finalize(texts[b], last_guess.get(b))
+                match = getattr(tag_a, config.match_on) == getattr(tag_b, config.match_on)
                 points = 1 if match else 0
-                round_records.append(
-                    InteractionRecord(
-                        round=round_index,
-                        agent_a=a,
-                        agent_b=b,
-                        raw_a=raw_a,
-                        raw_b=raw_b,
-                        hashtag_a=tag_a,
-                        hashtag_b=tag_b,
-                        match=match,
-                        points_a=points,
-                        points_b=points,
-                        fallback_a=fb_a,
-                        fallback_b=fb_b,
-                    )
+                record = InteractionRecord(
+                    round=round_index,
+                    agent_a=a,
+                    agent_b=b,
+                    raw_a=raw_a,
+                    raw_b=raw_b,
+                    hashtag_a=tag_a,
+                    hashtag_b=tag_b,
+                    match=match,
+                    points_a=points,
+                    points_b=points,
+                    fallback_a=fb_a,
+                    fallback_b=fb_b,
                 )
+                round_records.append(record)
+                for agent, _, own, other in record.sides():
+                    tables[agent] += "\n" + render_interaction_row(round_index, own, other)
+                    last_guess[agent] = own
+            transcript.records += round_records
+            emit(*(record.to_dict() for record in round_records))
 
-            transcript.records.extend(round_records)
-            for record in round_records:
-                tables[record.agent_a] += "\n" + render_interaction_row(
-                    record.round, record.hashtag_a.raw, record.hashtag_b.raw)
-                tables[record.agent_b] += "\n" + render_interaction_row(
-                    record.round, record.hashtag_b.raw, record.hashtag_a.raw)
-                last_guess[record.agent_a] = record.hashtag_a.raw
-                last_guess[record.agent_b] = record.hashtag_b.raw
-            if handle is not None:
-                for record in round_records:
-                    _write_line(handle, record.to_dict())
-                handle.flush()
-
+            unavailable_pairs = sum(any(texts[agent] is None for agent in pair) for pair in pairing.pairs)
             if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):
-                transcript.abort = {
-                    "abort": True,
-                    "round": round_index,
-                    "reason": f"backend unavailable for {unavailable_pairs} of {len(pairing.pairs)} pairs",
-                }
-                if handle is not None:
-                    _write_line(handle, transcript.abort)
-                    handle.flush()
+                stop(round_index, f"backend unavailable for {unavailable_pairs} of {len(pairing.pairs)} pairs")
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if handle is not None:
-            handle.close()
 
     return transcript
 
 
-def _finalize(
-    outcome: tuple[str, str], previous_guess: str | None
-) -> tuple[str, Hashtag, bool, bool]:
-    """Resolve one agent's outcome into (raw_record, hashtag, fallback,
-    backend_down). Fallback substitutes the agent's previous guess, or the
-    sentinel on a first-round failure."""
-    status, text = outcome
-    if status == "ok":
+def _finalize(text: str | None, previous_guess: str | None) -> tuple[str, Hashtag, bool]:
+    """Resolve one agent's response text (None when its backend was
+    unavailable) into (raw_record, hashtag, fallback). Fallback substitutes
+    the agent's previous guess, or the sentinel on a first-round failure;
+    the raw record keeps the text when there is one."""
+    if text is not None:
         try:
-            return (text, parse_response(text), False, False)
+            return (text, parse_response(text), False)
         except ParseError:
-            substitute = previous_guess if previous_guess is not None else FALLBACK_SENTINEL
-            return (text, Hashtag.from_raw(substitute), True, False)
+            pass
     substitute = previous_guess if previous_guess is not None else FALLBACK_SENTINEL
-    return (substitute, Hashtag.from_raw(substitute), True, True)
+    return (substitute if text is None else text, Hashtag.from_raw(substitute), True)

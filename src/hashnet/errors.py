@@ -36,6 +36,14 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def reject_unknown(doc, known, prefix: str) -> None:
+    """Raise ``ConfigError`` for the first key of ``doc`` not in ``known``;
+    its field path is ``prefix`` followed by the key."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+
+
 class NarrativeLoadError(HashnetError):
     """Narrative document missing, malformed, or violating an invariant."""
 

@@ -72,6 +72,33 @@ class TestValidate:
         assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
         assert "typo_section" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field_path, overrides", [
+        ("topology.N", {"topology": {"n": 6, "k": 2, "p": 0.0, "N": 100}}),
+        ("decode.temprature", {"decode": {"temprature": 0.2}}),
+        ("agents.cuont", {"agents": {"backend": "mock", "cuont": 6, "params": {"strategy": "constant:#x"}}}),
+        ("agents[0].parms", {"agents": [{"backend": "mock", "params": {"strategy": "constant:#x"}, "parms": {}}] * 6}),
+        ("agents[0].backend_params.lexicn", {"agents": {
+            "backend": "mock", "count": 6, "params": {"strategy": "imitate", "lexicon": ["#a"], "lexicn": ["#b"]},
+        }}),
+        ("agents[0].backend_params.max_retires", {"agents": {"backend": "remote", "count": 6, "params": {
+            "base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retires": 5,
+        }}}),
+        ("agents[0].backend_params.strict", {"agents": {"backend": "replay", "count": 6, "params": {
+            "transcript": str(FIXTURES / "fixture_transcript.jsonl"), "strict": True,
+        }}}),
+        ("metrics.entropy_bsae", {"metrics": {"entropy_bsae": 10}}),
+        ("metrics.embedding.dimm", {"metrics": {"embedding": {"provider": "hashing", "dimm": 8}}}),
+        ("metrics.embedding.dimm", {"metrics": {"embedding": {"provider": "onehot", "dimm": 8}}}),
+        ("metrics.embedding.backoff", {"metrics": {"embedding": {
+            "provider": "remote", "base_url": "http://127.0.0.1:1/v1", "model": "m", "backoff": 2,
+        }}}),
+        ("output.transcirpt", {"output": {"transcirpt": "t.jsonl"}}),
+    ])
+    def test_unknown_key_in_a_section_flagged(self, tmp_path, capsys, field_path, overrides):
+        path = write_config(tmp_path, small_mock_doc(**overrides))
+        assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
+        assert f"  {field_path}: unknown field" in capsys.readouterr().out
+
     def test_missing_reference_corpus_flagged(self, tmp_path, capsys):
         doc = small_mock_doc(metrics={"reference_corpus": "nowhere.txt"})
         path = write_config(tmp_path, doc)
@@ -257,6 +284,9 @@ class TestReplayFailures:
         config = write_config(tmp_path, _replay_doc(demo_config_path, source / "transcript.jsonl", 41))
         code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "replay"))
         assert "round 41" in self._assert_reported(capsys, code)
+        replay = read_transcript(tmp_path / "replay" / "transcript.jsonl")
+        assert replay.abort["round"] == 41
+        assert replay.rounds_completed() == 40
 
     def test_torn_last_line(self, demo_config_path, tmp_path, capsys):
         source = tmp_path / "source"

@@ -445,11 +445,20 @@ class TestTranscriptIO:
 
     def test_noncontiguous_rounds_rejected(self, tmp_path):
         transcript = run_simulation(make_mock_config(n=6, rounds=3, seed=9))
-        transcript.records = [r for r in transcript.records if r.round != 2]
-        path = tmp_path / "bad.jsonl"
-        write_transcript(transcript, path)
-        with pytest.raises(TranscriptError):
-            read_transcript(path)
+        records = transcript.records
+        assert records[0].round == records[1].round == 1
+        bad_orders = {
+            "round gap": [r for r in records if r.round != 2],
+            "swapped within a round": [records[1], records[0], *records[2:]],
+            "repeated record": [records[0], *records],
+            "first round 0": [replace(r, round=r.round - 1) for r in records],
+            "first round 2": [replace(r, round=r.round + 1) for r in records],
+        }
+        for name, bad in bad_orders.items():
+            path = tmp_path / f"{name.replace(' ', '_')}.jsonl"
+            write_transcript(replace(transcript, records=bad), path)
+            with pytest.raises(TranscriptError, match="out of order"):
+                read_transcript(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
