@@ -306,7 +306,8 @@ class HttpClient:
     The constructor checks the connection settings. Each request carries a
     bearer token read from ``api_key_env`` when that variable is set.
     Failures that ``is_retryable`` accepts are retried with exponential
-    backoff, and a semaphore caps in-flight requests.
+    backoff. ``max_in_flight`` caps the requests in flight through this
+    one client, not across clients.
     """
 
     def __init__(
@@ -320,7 +321,6 @@ class HttpClient:
         max_retries: int = 3,
         backoff: float = 1.0,
         max_in_flight: int = 8,
-        session: requests.Session | None = None,
     ):
         for name, value in (("base_url", base_url), ("model", model), ("api_key_env", api_key_env)):
             if not isinstance(value, str) or not value:
@@ -340,7 +340,7 @@ class HttpClient:
         self._max_retries = max_retries
         self._backoff = backoff
         self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+        self._session = requests.Session()
 
     def post(
         self, payload: dict, read: Callable[[dict], T], unavailable: Callable[[str], Exception]
@@ -374,8 +374,11 @@ class RemoteBackend:
     Sends the prompt as a single user message; the first choice's text is
     returned untouched. Failures that ``is_retryable`` accepts are retried
     with exponential backoff; exhaustion, or any other failure, raises
-    BackendUnavailableError so the engine can apply its fallback rule. A
-    shared semaphore caps in-flight requests.
+    BackendUnavailableError so the engine can apply its fallback rule.
+
+    ``max_in_flight`` caps this backend's own requests. Each agent gets its
+    own backend and makes one call per round, and rounds are barriers, so
+    in a simulation the cap never binds.
     """
 
     def __init__(self, base_url: str, model: str, **settings):
@@ -432,28 +435,27 @@ def _replay_source(spec: AgentSpec) -> str:
     return source
 
 
+def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params: Mapping, prefix: str) -> T:
+    """``cls`` called with the ``positional`` params in order (None when
+    absent) and the ``keyword`` params that are present, so its own defaults
+    fill the rest; any other key raises ``ConfigError`` under ``prefix``."""
+    reject_unknown(params, positional + keyword, prefix)
+    settings = dict(params)
+    args = [settings.pop(key, None) for key in positional]
+    return cls(*args, **settings)
+
+
 def build_backend(spec: AgentSpec) -> Backend:
     """Construct the backend an AgentSpec describes. Each constructor checks
     its own parameters; their field paths gain this agent's prefix."""
-    params = spec.backend_params
     if spec.backend == "replay":
         return ReplayBackend.from_transcript(_replay_source(spec))
     try:
         if spec.backend == "mock":
-            reject_unknown(params, ("strategy", "lexicon"), "backend_params.")
-            return MockBackend(params.get("strategy"), lexicon=params.get("lexicon"))
+            return from_params(MockBackend, ("strategy",), ("lexicon",), spec.backend_params, "backend_params.")
         if spec.backend == "remote":
-            remote_keys = ("base_url", "model", "api_key_env", "timeout", "max_retries", "backoff", "max_in_flight")
-            reject_unknown(params, remote_keys, "backend_params.")
-            return RemoteBackend(
-                params.get("base_url"),
-                params.get("model"),
-                api_key_env=params.get("api_key_env", API_KEY_ENV),
-                timeout=params.get("timeout", 60.0),
-                max_retries=params.get("max_retries", 3),
-                backoff=params.get("backoff", 1.0),
-                max_in_flight=params.get("max_in_flight", 8),
-            )
+            keyword = ("api_key_env", "timeout", "max_retries", "backoff", "max_in_flight")
+            return from_params(RemoteBackend, ("base_url", "model"), keyword, spec.backend_params, "backend_params.")
     except ConfigError as err:
         raise ConfigError(f"agents[{spec.agent_id}].{err.field}", err.message) from None
     raise ConfigError(f"agents[{spec.agent_id}].backend", f"unknown backend {spec.backend!r}")

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .agents import AgentSpec, DecodeParams
+from .agents import AgentSpec, DecodeParams, from_params
 from .engine import (
     RunConfig,
     Transcript,
@@ -32,7 +32,6 @@ from .errors import (
     NarrativeLoadError,
     is_integer,
     is_number,
-    reject_unknown,
 )
 from .metrics import (
     DEDUP_POLICIES,
@@ -72,8 +71,12 @@ _TOP_LEVEL_KEYS = {
     "seed", "rounds", "topology", "agents", "narrative", "decode",
     "parallelism", "match_on", "metrics", "output", "run_id",
 }
-_EMBEDDING_PROVIDERS = ("onehot", "hashing", "remote")
-_DIM_EMBEDDING_KEYS = ("provider", "dim")
+# Each embedding provider: its class, then its positional and keyword settings for ``from_params``.
+_EMBEDDING_PROVIDERS = {
+    "onehot": (OneHotEmbedder, (), ("dim",)),
+    "hashing": (HashingEmbedder, (), ("dim",)),
+    "remote": (RemoteEmbedder, ("base_url", "model"), ("api_key_env", "timeout", "max_retries")),
+}
 
 
 @dataclass
@@ -94,32 +97,20 @@ class MetricsSettings(Checked):
             found.append(ConfigError("metrics.dedup", f"must be one of {DEDUP_POLICIES}"))
         if not is_number(self.entropy_base) or self.entropy_base <= 1:
             found.append(ConfigError("metrics.entropy_base", f"must be a number > 1, got {self.entropy_base!r}"))
-        if self.embedding.get("provider", "hashing") not in _EMBEDDING_PROVIDERS:
-            found.append(ConfigError("metrics.embedding.provider", f"must be one of {_EMBEDDING_PROVIDERS}"))
-        else:
-            try:
-                self.embedder()
-            except ConfigError as err:
-                found.append(ConfigError(f"metrics.embedding.{err.field}", err.message))
+        try:
+            self.embedder()
+        except ConfigError as err:
+            found.append(ConfigError(f"metrics.embedding.{err.field}", err.message))
         return found
 
     def embedder(self):
-        embedding = self.embedding
-        provider = embedding.get("provider", "hashing")
-        if provider == "onehot":
-            reject_unknown(embedding, _DIM_EMBEDDING_KEYS, "")
-            return OneHotEmbedder(dim=embedding.get("dim", 4096))
-        if provider == "hashing":
-            reject_unknown(embedding, _DIM_EMBEDDING_KEYS, "")
-            return HashingEmbedder(dim=embedding.get("dim", 256))
-        reject_unknown(embedding, ("provider", "base_url", "model", "api_key_env", "timeout", "max_retries"), "")
-        return RemoteEmbedder(
-            embedding.get("base_url"),
-            embedding.get("model"),
-            api_key_env=embedding.get("api_key_env", "HASHNET_API_KEY"),
-            timeout=embedding.get("timeout", 60.0),
-            max_retries=embedding.get("max_retries", 3),
-        )
+        """The configured embedder; its constructor checks the settings."""
+        settings = dict(self.embedding)
+        provider = settings.pop("provider", DEFAULT_EMBEDDING["provider"])
+        names = tuple(_EMBEDDING_PROVIDERS)
+        if provider not in names:
+            raise ConfigError("provider", f"must be one of {names}")
+        return from_params(*_EMBEDDING_PROVIDERS[provider], settings, "")
 
 
 @dataclass
@@ -177,21 +168,21 @@ def _parse(
 
     unknown(doc, "", _TOP_LEVEL_KEYS)
 
-    def section(parent: dict, name: str, path: str, default: dict | None = None) -> dict:
-        value = parent.get(name, {} if default is None else default)
+    def section(parent: dict, name: str, path: str) -> dict:
+        value = parent.get(name, {})
         if isinstance(value, dict):
             return value
         violations.append((path, "must be an object"))
         return {}
 
-    topology_doc = section(doc, "topology", "topology")
-    unknown(topology_doc, "topology.", ("n", "k", "p", "seed"))
-    topology = TopologySpec(
-        n=topology_doc.get("n", DEFAULT_TOPOLOGY["n"]),
-        k=topology_doc.get("k", DEFAULT_TOPOLOGY["k"]),
-        p=topology_doc.get("p", DEFAULT_TOPOLOGY["p"]),
-        seed=topology_doc.get("seed"),
-    )
+    def fields_of(name: str, cls) -> dict:
+        """Section ``name``'s keys that are fields of dataclass ``cls``; others are unknown."""
+        value = section(doc, name, name)
+        names = {f.name for f in fields(cls)}
+        unknown(value, f"{name}.", names)
+        return {key: item for key, item in value.items() if key in names}
+
+    topology = TopologySpec(**{**DEFAULT_TOPOLOGY, **fields_of("topology", TopologySpec)})
 
     agents_doc = doc.get("agents")
     if isinstance(agents_doc, dict):
@@ -236,41 +227,30 @@ def _parse(
         except NarrativeLoadError as err:
             violations.append((f"narrative.{err.field}" if err.field != "$" else "narrative", err.message))
 
-    decode_doc = section(doc, "decode", "decode")
-    unknown(decode_doc, "decode.", ("temperature", "max_tokens"))
-    overrides = {
-        key: getattr(args, key) for key in ("seed", "parallelism") if getattr(args, key, None) is not None
-    }
+    run_fields = {key: doc[key] for key in ("parallelism", "seed", "run_id", "match_on") if key in doc}
+    overrides = {key: getattr(args, key) for key in ("seed", "parallelism") if getattr(args, key, None) is not None}
     run = RunConfig(
         topology=topology,
         rounds=doc.get("rounds", DEFAULT_ROUNDS),
         agents=tuple(agents),
         narrative_path=narrative_ref,
-        decode=DecodeParams(
-            temperature=decode_doc.get("temperature", 0.7),
-            max_tokens=decode_doc.get("max_tokens", 64),
-        ),
-        parallelism=overrides.get("parallelism", doc.get("parallelism", 1)),
-        seed=overrides.get("seed", doc.get("seed", 0)),
-        run_id=doc.get("run_id"),
-        match_on=doc.get("match_on", "normalized"),
+        decode=DecodeParams(**fields_of("decode", DecodeParams)),
+        **{**run_fields, **overrides},
     )
 
-    metrics_doc = section(doc, "metrics", "metrics")
-    unknown(metrics_doc, "metrics.", ("reference_corpus", "tokenization", "entropy_base", "dedup", "embedding"))
-    corpus = metrics_doc.get("reference_corpus")
-    if corpus is not None and not isinstance(corpus, str):
+    metrics_fields = fields_of("metrics", MetricsSettings)
+    corpus = metrics_fields.pop("reference_corpus", None)
+    if isinstance(corpus, str):
+        metrics_fields["reference_corpus"] = _resolve(base_dir, corpus)
+        if not metrics_fields["reference_corpus"].is_file():
+            violations.append(("metrics.reference_corpus", f"file not found: {corpus}"))
+    elif corpus is not None:
         violations.append(("metrics.reference_corpus", "must be a path string"))
-    elif corpus is not None and not _resolve(base_dir, corpus).is_file():
-        violations.append(("metrics.reference_corpus", f"file not found: {corpus}"))
-    entropy_base = metrics_doc.get("entropy_base", 2)
-    settings = MetricsSettings(
-        reference_corpus=_resolve(base_dir, corpus) if isinstance(corpus, str) else None,
-        tokenization=metrics_doc.get("tokenization", "hashtag"),
-        entropy_base=float(entropy_base) if is_number(entropy_base) else entropy_base,
-        dedup=metrics_doc.get("dedup", "per_response"),
-        embedding=dict(section(metrics_doc, "embedding", "metrics.embedding", DEFAULT_EMBEDDING)),
-    )
+    if is_number(metrics_fields.get("entropy_base")):
+        metrics_fields["entropy_base"] = float(metrics_fields["entropy_base"])
+    if "embedding" in metrics_fields:
+        metrics_fields["embedding"] = dict(section(metrics_fields, "embedding", "metrics.embedding"))
+    settings = MetricsSettings(**metrics_fields)
 
     output_doc = section(doc, "output", "output")
     outputs = {}
@@ -318,10 +298,7 @@ class _IOFailure(HashnetError):
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc, base_dir = load_config(Path(args.config))
-    violations = validate_config(doc, base_dir)
-    if violations:
-        raise InvalidConfig(violations)
+    build_config(*load_config(Path(args.config)), args)
     print(f"ok: {args.config}")
     return EXIT_OK
 

@@ -274,8 +274,9 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    """Parse a transcript file, checking that rounds run contiguously from 1
-    and that (round, agent_a) strictly increases from record to record."""
+    """Parse a transcript file, checking that ``round``, ``agent_a`` and
+    ``agent_b`` are integers, that rounds run contiguously from 1 and that
+    (round, agent_a) strictly increases from record to record."""
     header: dict | None = None
     records: list[InteractionRecord] = []
     abort: dict | None = None
@@ -295,6 +296,9 @@ def read_transcript(path: str | Path) -> Transcript:
                 abort = doc
             else:
                 record = InteractionRecord.from_dict(doc)
+                for key in ("round", "agent_a", "agent_b"):
+                    if not is_integer(getattr(record, key)):
+                        raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
                 if not (record.round == last_round + 1 or (record.round == last_round and record.agent_a > last_agent)):
                     raise TranscriptError(
                         f"{path}: line {i + 1}: round {record.round!r}, agent_a {record.agent_a!r} is out of "

@@ -237,6 +237,23 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == EXIT_INVALID
         assert not (tmp_path / "o" / "transcript.jsonl").exists()
 
+    def test_fully_defaulted_run_is_pinned(self, tmp_path):
+        # Only agents is set, so topology, rounds, seed, decode, match_on and
+        # every metrics setting come from their defaults; the header's config
+        # snapshot, run_id and config_digest pin each of them.
+        config = write_config(tmp_path, {"agents": {"backend": "mock", "params": {"strategy": "constant:#x"}}})
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+        transcript = tmp_path / "run" / "transcript.jsonl"
+        assert run_cli("metrics", str(transcript), "--config", str(config), "--out", str(tmp_path / "m")) == EXIT_OK
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (transcript, tmp_path / "m" / "metadata.json")
+        }
+        assert digests == {
+            "transcript.jsonl": "26ac43eaff50965f5c34b75d66c3f4acc0c28c658d9ad4abe032ebd2bef990c7",
+            "metadata.json": "ea966fb16e5393f6264921a401865a586f06d0e90ee0c6074515c4e7d860c04d",
+        }
+
     def test_unreachable_remote_aborts_with_marker(self, tmp_path, capsys):
         doc = small_mock_doc(
             agents={
@@ -376,6 +393,25 @@ class TestMetrics:
         assert code == EXIT_OK
         statuses = json.loads((tmp_path / "m" / "metadata.json").read_text())["statuses"]
         assert statuses["perplexity"] == "computed"
+
+    @pytest.mark.parametrize("line, key, value", [
+        (3, "agent_a", "7"),
+        (2, "agent_b", "x"),
+        (2, "round", 1.0),
+    ])
+    def test_non_integer_ids_are_rejected(self, demo_config_path, tmp_path, capsys, line, key, value):
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_dir)) == EXIT_OK
+        path = run_dir / "transcript.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = json.dumps(dict(json.loads(lines[line - 1]), **{key: value})) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("metrics", str(path), "--config", str(demo_config_path), "--out", str(tmp_path / "m"))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"line {line}: {key} must be an integer, got {value!r}" in err
 
     def test_missing_transcript_is_io_error(self, tmp_path):
         code = run_cli("metrics", str(tmp_path / "nope.jsonl"),
