@@ -93,7 +93,11 @@ class BackendResponse:
 
 
 class Backend(Protocol):
-    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse: ...
+    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
+        """Answer one request. ``rng`` is this agent's generator for the
+        round; the engine passes a generator-like handle that builds it on
+        the first draw, so a call that never draws pays nothing."""
+        ...
 
 
 def render_interaction_row(round_index: int, own: str, neighbor: str) -> str:

@@ -9,6 +9,7 @@ so a run with deterministic backends is byte-identical at any parallelism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -36,6 +37,8 @@ from .narrative import FocalNarrative, load_narrative
 from .topology import Network, TopologySpec, generate_network, pair_round
 
 WORD_CAP = 5
+# Distinct response texts whose parses are kept; a run repeats a few texts.
+PARSE_CACHE_SIZE = 4096
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -99,6 +102,7 @@ def _guess(tokens: Sequence[str]) -> Hashtag:
     return tag
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_response(raw_text: str) -> Hashtag:
     """Extract the hashtag guess from a backend's raw output.
 
@@ -108,6 +112,9 @@ def parse_response(raw_text: str) -> Hashtag:
     Either way the result is truncated to five whitespace-delimited words
     and cleaned of surrounding quotes and markdown. A result whose
     normalized form is empty raises ParseError.
+
+    Results are memoized per text; a ParseError is not, so a failing text
+    raises on every call.
     """
     text = _strip_reasoning(raw_text)
     lines = [line.strip() for line in text.splitlines()]
@@ -210,6 +217,13 @@ class InteractionRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
+        """The record a JSON value describes; TranscriptError when it, or one
+        of its hashtags, is not an object or lacks a field."""
+        if not isinstance(doc, dict):
+            raise TranscriptError(f"record must be a JSON object, got {doc!r}")
+        for key in ("hashtag_a", "hashtag_b"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise TranscriptError(f"{key} must be a JSON object, got {doc[key]!r}")
         try:
             return cls(
                 round=doc["round"],
@@ -274,7 +288,8 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    """Parse a transcript file, checking that ``round``, ``agent_a`` and
+    """Parse a transcript file, checking that the header and every record
+    are JSON objects with the record fields, that ``round``, ``agent_a`` and
     ``agent_b`` are integers, that rounds run contiguously from 1 and that
     (round, agent_a) strictly increases from record to record."""
     header: dict | None = None
@@ -291,11 +306,16 @@ def read_transcript(path: str | Path) -> Transcript:
             except json.JSONDecodeError as err:
                 raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
             if i == 0:
+                if not isinstance(doc, dict):
+                    raise TranscriptError(f"{path}: line 1: header must be a JSON object, got {doc!r}")
                 header = doc
             elif isinstance(doc, dict) and doc.get("abort"):
                 abort = doc
             else:
-                record = InteractionRecord.from_dict(doc)
+                try:
+                    record = InteractionRecord.from_dict(doc)
+                except TranscriptError as err:
+                    raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
                 for key in ("round", "agent_a", "agent_b"):
                     if not is_integer(getattr(record, key)):
                         raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
@@ -474,7 +494,7 @@ def run_simulation(
                     agent_id=agent,
                     decode=config.decode,
                 )
-                agent_rng = rng_streams.agent_rng(config.seed, round_index, agent)
+                agent_rng = rng_streams.LazyAgentRng(config.seed, round_index, agent)
                 try:
                     return backends[agent].respond(request, agent_rng).raw_text
                 except BackendUnavailableError:

@@ -10,6 +10,11 @@ Every random draw in a run descends from one root seed through numpy
 Keeping the namespaces separate means adding rounds never perturbs the
 network, and per-agent draws are independent of dispatch order, which is
 what makes parallel and serial runs byte-identical.
+
+A backend call receives its per-agent generator as a :class:`LazyAgentRng`
+handle, which builds the generator on its first draw. Most calls never draw
+(remote, replay and constant-mock calls, and imitate calls that already have
+a table), so they pay nothing; the stream a draw sees is unchanged.
 """
 
 import numpy as np
@@ -35,3 +40,20 @@ def agent_rng(root_seed: int, round_index: int, agent_id: int) -> np.random.Gene
     """Generator owned by one agent's backend call within one round."""
     seq = np.random.SeedSequence(root_seed, spawn_key=(_AGENT_STREAM, round_index, agent_id))
     return np.random.default_rng(seq)
+
+
+class LazyAgentRng:
+    """Stands in for ``agent_rng(root_seed, round_index, agent_id)``: the
+    generator is built on the first attribute access, and every access is
+    forwarded to it. One handle serves one backend call, on one thread."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, root_seed: int, round_index: int, agent_id: int):
+        self._key = (root_seed, round_index, agent_id)
+        self._rng: np.random.Generator | None = None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = agent_rng(*self._key)
+        return getattr(self._rng, name)

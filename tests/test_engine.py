@@ -26,6 +26,7 @@ from hashnet import (
     write_transcript,
 )
 from hashnet import engine
+from hashnet import rng as rng_streams
 from hashnet.engine import SCORING_PARAGRAPH, config_digest, config_snapshot
 
 from conftest import FIXTURES, make_mock_config
@@ -75,12 +76,17 @@ class TestParseResponse:
     def test_hand_labeled_fixture(self, fixtures):
         cases = json.loads((fixtures / "reasoning_responses.json").read_text(encoding="utf-8"))
         assert len(cases) >= 20
+        # Parsed twice: a repeat is served from the memo, which must agree
+        # with the first parse and must not remember a failure.
         for case in cases:
             if case.get("expected_error"):
-                with pytest.raises(ParseError):
-                    parse_response(case["raw_text"])
+                for _ in range(2):
+                    with pytest.raises(ParseError):
+                        parse_response(case["raw_text"])
             else:
-                assert parse_response(case["raw_text"]).raw == case["expected_raw"], case["raw_text"]
+                first, second = parse_response(case["raw_text"]), parse_response(case["raw_text"])
+                assert first.raw == case["expected_raw"], case["raw_text"]
+                assert second == first, case["raw_text"]
 
     def test_normalized_form_populated(self):
         tag = parse_response("Sure! I'll go with #FukushimaDisaster")
@@ -302,6 +308,40 @@ class TestRunSimulation:
         assert sum(len(h) for h in histories) == 8  # 4 rounds x 2 participants
 
 
+class TestAgentRng:
+    @staticmethod
+    def count_builds(monkeypatch) -> list[tuple[int, int, int]]:
+        builds = []
+        build = rng_streams.agent_rng
+
+        def counted(*key):
+            builds.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(rng_streams, "agent_rng", counted)
+        return builds
+
+    def test_imitate_run_builds_each_agent_generator_at_most_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        run_simulation(make_mock_config(n=6, rounds=10, seed=3))
+        agents = [agent for _, _, agent in builds]
+        assert agents  # an imitate agent facing an empty table draws
+        assert len(agents) == len(set(agents)) <= 6
+
+    def test_constant_run_builds_none(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        run_simulation(make_mock_config(n=6, rounds=10, strategy="constant:#c"))
+        assert builds == []
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 10**6), st.integers(0, 10**4), st.integers(1, 2**62))
+    @settings(max_examples=50, deadline=None)
+    def test_lazy_handle_draws_the_same_stream(self, seed, round_index, agent, high):
+        lazy = rng_streams.LazyAgentRng(seed, round_index, agent)
+        eager = rng_streams.agent_rng(seed, round_index, agent)
+        assert lazy.integers(high, size=4).tolist() == eager.integers(high, size=4).tolist()
+        assert int(lazy.integers(high)) == int(eager.integers(high))
+
+
 class TestFallbacks:
     def _one_remote_config(self, stub_url, n=4, rounds=2, retries=3):
         agents = [AgentSpec(i, "mock", {"strategy": "constant:#y"}) for i in range(n - 1)]
@@ -459,6 +499,24 @@ class TestTranscriptIO:
             write_transcript(replace(transcript, records=bad), path)
             with pytest.raises(TranscriptError, match="out of order"):
                 read_transcript(path)
+
+    @pytest.mark.parametrize("line,edit,message", [
+        (0, lambda doc: [1, 2], "line 1: header must be a JSON object"),
+        (1, lambda doc: [1, 2], "line 2: record must be a JSON object"),
+        (1, lambda doc: None, "line 2: record must be a JSON object"),
+        (2, lambda doc: {**doc, "hashtag_a": "#x"}, "line 3: hashtag_a must be a JSON object"),
+        (2, lambda doc: {**doc, "hashtag_b": "#x"}, "line 3: hashtag_b must be a JSON object"),
+        (1, lambda doc: {k: v for k, v in doc.items() if k != "raw_b"}, "line 2: record missing field 'raw_b'"),
+    ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field"])
+    def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TranscriptError, match=message) as caught:
+            read_transcript(path)
+        assert str(path) in str(caught.value)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
