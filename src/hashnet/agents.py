@@ -7,13 +7,16 @@ never mutates the prompt and stores the returned text byte-exact.
 
 The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table). The render/parse helpers here define that
-wire format; mock agents read their history back out of the prompt just
-like a language model would.
+wire format. A request the engine builds also carries that table
+verbatim, next to the prompt; an imitate mock reads its history from that
+table, else from the prompt, and either way gets the rows a language
+model would see.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 import threading
@@ -31,6 +34,8 @@ BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
 
 INTERACTION_TABLE_HEADER = "round,your_guess,neighbor_guess"
+# Distinct (own, neighbor) guess pairs whose CSV rendering is kept.
+ROW_CACHE_SIZE = 4096
 
 T = TypeVar("T")
 
@@ -79,10 +84,20 @@ class AgentSpec(Checked):
 
 @dataclass(frozen=True)
 class BackendRequest:
+    """One prompt for one agent in one round.
+
+    ``table`` is the interaction table exactly as it appears in ``prompt``,
+    line break after its last row included, or None when the prompt has
+    none (round 1) or the request was built without it. The engine fills
+    it; an imitate mock reads it instead of the prompt, and the other
+    backends ignore it.
+    """
+
     prompt: str
     round: int
     agent_id: int
     decode: DecodeParams = DecodeParams()
+    table: str | None = None
 
 
 @dataclass(frozen=True)
@@ -102,8 +117,15 @@ class Backend(Protocol):
 
 def render_interaction_row(round_index: int, own: str, neighbor: str) -> str:
     """One CSV row of the interaction table, without its line terminator."""
+    return f"{round_index},{_render_guesses(own, neighbor)}"
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _render_guesses(own: str, neighbor: str) -> str:
+    """The CSV fields of a row after its round. CSV quotes each field on its
+    own, so they render the same whatever round precedes them."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
+    csv.writer(buf, lineterminator="\n").writerow([own, neighbor])
     return buf.getvalue()[:-1]
 
 
@@ -222,10 +244,12 @@ class MockBackend:
       ``imitate``          copy the most frequent neighbor guess so far
                            (requires ``lexicon`` for the opening round)
 
-    An imitate mock reads its history from the prompt's table. It keeps,
-    per agent, the table text it has read and the tallies of its rows; when
-    the next prompt's table extends that text at a line boundary, only the
-    new lines are parsed. The answer is always the one a full read gives.
+    An imitate mock reads its history from the request's table, or from
+    the prompt when the request carries none; both hold the same rows. It
+    keeps, per agent, the table text it has read and the tallies of its
+    rows; when the next table extends that text at a line boundary, only
+    the new lines are parsed. The answer is always the one a full read of
+    the prompt gives.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -251,7 +275,7 @@ class MockBackend:
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
             return BackendResponse(raw_text=self._constant)
-        counts, last_seen = self._read_history(req.agent_id, req.prompt)
+        counts, last_seen = self._read_history(req.agent_id, req.prompt if req.table is None else req.table)
         return BackendResponse(raw_text=_imitate(counts, last_seen, self._lexicon, rng))
 
     def _read_history(self, agent_id: int, prompt: str) -> tuple[dict[str, int], dict[str, int]]:

@@ -39,13 +39,16 @@ from .topology import Network, TopologySpec, generate_network, pair_round
 WORD_CAP = 5
 # Distinct response texts whose parses are kept; a run repeats a few texts.
 PARSE_CACHE_SIZE = 4096
+# Distinct texts whose normalized forms are kept; metrics repeat a few texts.
+NORMALIZE_CACHE_SIZE = 4096
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
 def normalize_hashtag(text: str) -> str:
     """Canonical comparison form: lowercase with '#' and every other
-    non-alphanumeric character removed. Idempotent."""
+    non-alphanumeric character removed. Idempotent; memoized per text."""
     return "".join(c for c in text.lower() if c.isalnum())
 
 
@@ -146,26 +149,18 @@ CLOSING_PARAGRAPH = (
 
 
 def _render_prompt(round_index: int, table: str, event_text: str) -> str:
-    """The prompt text around an agent's rendered interaction table (unused
-    in round 1)."""
-    parts = [SCORING_PARAGRAPH, ""]
+    """The prompt text around an agent's rendered interaction table, which
+    ends in a line break (unused in round 1)."""
     if round_index == 1:
-        parts += [
-            "You are in round 1 of the experiment.",
-            "",
-            "Based on the event provided in round 1:",
-        ]
+        context = ["You are in round 1 of the experiment.\n\nBased on the event provided in round 1:"]
     else:
-        parts += [
+        context = [
             f"You are in round {round_index} of the experiment. Your guesses and "
-            "your neighbor's guesses have been as follows, represented in the CSV below:",
-            "",
+            "your neighbor's guesses have been as follows, represented in the CSV below:\n\n",
             table,
-            "",
-            "Based on this information and the event provided in round 1:",
+            "\nBased on this information and the event provided in round 1:",
         ]
-    parts += ["", event_text, "", CLOSING_PARAGRAPH]
-    return "\n".join(parts)
+    return "".join([SCORING_PARAGRAPH, "\n\n", *context, "\n\n", event_text, "\n\n", CLOSING_PARAGRAPH])
 
 
 def build_prompt(
@@ -181,7 +176,7 @@ def build_prompt(
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     rows = transcript.agent_history(agent_id, before_round=round_index)
-    return _render_prompt(round_index, render_interaction_table(rows), narrative.full_text)
+    return _render_prompt(round_index, render_interaction_table(rows) + "\n", narrative.full_text)
 
 
 # --- records and transcripts ------------------------------------------------
@@ -222,8 +217,12 @@ class InteractionRecord:
         if not isinstance(doc, dict):
             raise TranscriptError(f"record must be a JSON object, got {doc!r}")
         for key in ("hashtag_a", "hashtag_b"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise TranscriptError(f"{key} must be a JSON object, got {doc[key]!r}")
+            tag = doc.get(key, {})
+            if not isinstance(tag, dict):
+                raise TranscriptError(f"{key} must be a JSON object, got {tag!r}")
+            for name in ("raw", "normalized"):
+                if key in doc and name not in tag:
+                    raise TranscriptError(f"{key} missing field {name!r}")
         try:
             return cls(
                 round=doc["round"],
@@ -290,8 +289,9 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 def read_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, checking that the header and every record
     are JSON objects with the record fields, that ``round``, ``agent_a`` and
-    ``agent_b`` are integers, that rounds run contiguously from 1 and that
-    (round, agent_a) strictly increases from record to record."""
+    ``agent_b`` are integers, that each side's points are 1 on a match and 0
+    otherwise, that rounds run contiguously from 1 and that (round, agent_a)
+    strictly increases from record to record."""
     header: dict | None = None
     records: list[InteractionRecord] = []
     abort: dict | None = None
@@ -319,6 +319,11 @@ def read_transcript(path: str | Path) -> Transcript:
                 for key in ("round", "agent_a", "agent_b"):
                     if not is_integer(getattr(record, key)):
                         raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
+                for key in ("points_a", "points_b"):
+                    if getattr(record, key) != (1 if record.match else 0):
+                        raise TranscriptError(
+                            f"{path}: line {i + 1}: {key} {doc[key]!r} contradicts match {doc['match']!r}"
+                        )
                 if not (record.round == last_round + 1 or (record.round == last_round and record.agent_a > last_agent)):
                     raise TranscriptError(
                         f"{path}: line {i + 1}: round {record.round!r}, agent_a {record.agent_a!r} is out of "
@@ -463,9 +468,9 @@ def run_simulation(
     }
 
     transcript = Transcript(header=header, records=[])
-    # Each agent's interaction table as rendered so far; a row is appended
-    # once, when its round commits.
-    tables = {i: INTERACTION_TABLE_HEADER for i in range(network.n)}
+    # Each agent's interaction table as rendered so far, each line ending in
+    # a line break; a row is appended once, when its round commits.
+    tables = {i: INTERACTION_TABLE_HEADER + "\n" for i in range(network.n)}
     last_guess: dict[int, str] = {}
 
     with ExitStack() as stack:
@@ -488,11 +493,13 @@ def run_simulation(
             participants = [agent for pair in pairing.pairs for agent in pair]
 
             def invoke(agent: int) -> str | None:
+                table = tables[agent]
                 request = BackendRequest(
-                    prompt=_render_prompt(round_index, tables[agent], narrative.full_text),
+                    prompt=_render_prompt(round_index, table, narrative.full_text),
                     round=round_index,
                     agent_id=agent,
                     decode=config.decode,
+                    table=table if round_index > 1 else None,
                 )
                 agent_rng = rng_streams.LazyAgentRng(config.seed, round_index, agent)
                 try:
@@ -528,7 +535,7 @@ def run_simulation(
                 )
                 round_records.append(record)
                 for agent, _, own, other in record.sides():
-                    tables[agent] += "\n" + render_interaction_row(round_index, own, other)
+                    tables[agent] += f"{render_interaction_row(round_index, own, other)}\n"
                     last_guess[agent] = own
             transcript.records += round_records
             emit(*(record.to_dict() for record in round_records))

@@ -1,5 +1,7 @@
 """Backend implementations and the interaction-table wire format."""
 
+import csv
+import io
 import json
 import random
 import sys
@@ -41,7 +43,21 @@ def request(prompt="#prompt", round_index=1, agent_id=0):
     return BackendRequest(prompt=prompt, round=round_index, agent_id=agent_id)
 
 
+# Text that CSV must quote or escape: quotes, commas, line breaks, empty.
+_CSV_TEXT = st.text(alphabet=st.one_of(st.sampled_from('",\r\n# '), st.characters()), max_size=8)
+
+
 class TestInteractionTable:
+    @given(st.integers(-10**6, 10**6), _CSV_TEXT, _CSV_TEXT)
+    @settings(max_examples=300)
+    def test_row_equals_a_fresh_csv_rendering(self, round_index, own, neighbor):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
+        expected = buf.getvalue()[:-1]
+        # the second call is served from the memo
+        assert render_interaction_row(round_index, own, neighbor) == expected
+        assert render_interaction_row(round_index, own, neighbor) == expected
+
     def test_round_trip(self):
         rows = [(1, "#a", "#b"), (3, "#c d", "#e")]
         table = render_interaction_table(rows)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hashnet import (
     TranscriptError,
     build_prompt,
     load_narrative,
+    mock_imitate,
     normalize_hashtag,
     parse_response,
     read_transcript,
@@ -27,6 +29,7 @@ from hashnet import (
 )
 from hashnet import engine
 from hashnet import rng as rng_streams
+from hashnet.agents import parse_interaction_table
 from hashnet.engine import SCORING_PARAGRAPH, config_digest, config_snapshot
 
 from conftest import FIXTURES, make_mock_config
@@ -297,6 +300,47 @@ class TestRunSimulation:
             before = Transcript(transcript.header, [r for r in transcript.records if r.round < round_index])
             assert prompt == build_prompt(agent, round_index, before, narrative)
 
+    @given(
+        st.lists(st.sampled_from(['#a,"b', "#Fukushima—Daiichi", "#福島", '#say "hi", world']),
+                 min_size=1, max_size=4, unique=True),
+        st.integers(3, 9),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_imitate_mock_reads_the_table_its_request_carries(self, lexicon, n, rounds, p, seed, parallelism):
+        # the engine puts each agent's table in its request next to the
+        # prompt; reading that table must be a full read of the prompt
+        seen = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def respond(self, req, rng):
+                response = self.inner.respond(req, rng)
+                seen.append((req, response.raw_text))
+                return response
+
+        build = engine.build_backends
+        config = replace(
+            make_mock_config(n=n, rounds=rounds, k=2, p=p, seed=seed, lexicon=tuple(lexicon), parallelism=parallelism),
+            narrative_path="bundled:fukushima",
+        )
+        with mock.patch.object(engine, "build_backends", lambda specs: {i: Recording(b) for i, b in build(specs).items()}):
+            run_simulation(config)
+        assert seen
+        for req, answer in seen:
+            if req.round == 1:
+                assert req.table is None
+                continue
+            assert req.table in req.prompt
+            rows = parse_interaction_table(req.prompt)
+            assert parse_interaction_table(req.table) == rows
+            assert answer == mock_imitate(rows, lexicon, rng_streams.agent_rng(seed, req.round, req.agent_id))
+
     def test_unmatched_agents_gain_no_history(self):
         # path graph: one agent sits out every round
         config = replace(make_mock_config(n=3, rounds=4, strategy="constant:#s"), topology=TopologySpec(n=3, k=2, p=0.0))
@@ -507,7 +551,14 @@ class TestTranscriptIO:
         (2, lambda doc: {**doc, "hashtag_a": "#x"}, "line 3: hashtag_a must be a JSON object"),
         (2, lambda doc: {**doc, "hashtag_b": "#x"}, "line 3: hashtag_b must be a JSON object"),
         (1, lambda doc: {k: v for k, v in doc.items() if k != "raw_b"}, "line 2: record missing field 'raw_b'"),
-    ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field"])
+        (1, lambda doc: {**doc, "hashtag_a": {"normalized": "x"}}, "line 2: hashtag_a missing field 'raw'"),
+        (2, lambda doc: {**doc, "hashtag_b": {"raw": "#x"}}, "line 3: hashtag_b missing field 'normalized'"),
+        (1, lambda doc: {**doc, "match": False, "points_a": 1, "points_b": 0},
+         "line 2: points_a 1 contradicts match False"),
+        (2, lambda doc: {**doc, "match": True, "points_a": 1, "points_b": 0},
+         "line 3: points_b 0 contradicts match True"),
+    ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
+            "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
