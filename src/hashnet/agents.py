@@ -9,14 +9,12 @@ The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table). The render/parse helpers here define that
 wire format. A request the engine builds also carries that table
 verbatim, next to the prompt; an imitate mock reads its history from that
-table, else from the prompt, and either way gets the rows a language
-model would see.
+table as given, else from the prompt.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
 import threading
@@ -34,8 +32,6 @@ BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
 
 INTERACTION_TABLE_HEADER = "round,your_guess,neighbor_guess"
-# Distinct (own, neighbor) guess pairs whose CSV rendering is kept.
-ROW_CACHE_SIZE = 4096
 
 T = TypeVar("T")
 
@@ -86,11 +82,11 @@ class AgentSpec(Checked):
 class BackendRequest:
     """One prompt for one agent in one round.
 
-    ``table`` is the interaction table exactly as it appears in ``prompt``,
-    line break after its last row included, or None when the prompt has
-    none (round 1) or the request was built without it. The engine fills
-    it; an imitate mock reads it instead of the prompt, and the other
-    backends ignore it.
+    ``table`` is None, or a verbatim copy of the interaction table in
+    ``prompt``, line break after its last row included. Nothing here checks
+    that copy: whoever builds the request must make it so. The engine does,
+    and leaves it None in round 1. An imitate mock reads ``table`` as given,
+    instead of the prompt; the other backends ignore it.
     """
 
     prompt: str
@@ -116,16 +112,16 @@ class Backend(Protocol):
 
 
 def render_interaction_row(round_index: int, own: str, neighbor: str) -> str:
-    """One CSV row of the interaction table, without its line terminator."""
-    return f"{round_index},{_render_guesses(own, neighbor)}"
+    """One CSV row of the interaction table, without its line terminator.
 
-
-@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
-def _render_guesses(own: str, neighbor: str) -> str:
-    """The CSV fields of a row after its round. CSV quotes each field on its
-    own, so they render the same whatever round precedes them."""
+    csv.writer writes a nonempty field with no comma, quote or line break
+    as is, so such fields are joined directly; any other row goes through
+    csv.writer."""
+    both = own + neighbor
+    if own and neighbor and "," not in both and '"' not in both and "\r" not in both and "\n" not in both:
+        return f"{round_index},{own},{neighbor}"
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([own, neighbor])
+    csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
     return buf.getvalue()[:-1]
 
 
@@ -244,12 +240,13 @@ class MockBackend:
       ``imitate``          copy the most frequent neighbor guess so far
                            (requires ``lexicon`` for the opening round)
 
-    An imitate mock reads its history from the request's table, or from
-    the prompt when the request carries none; both hold the same rows. It
-    keeps, per agent, the table text it has read and the tallies of its
-    rows; when the next table extends that text at a line boundary, only
-    the new lines are parsed. The answer is always the one a full read of
-    the prompt gives.
+    An imitate mock reads its history from the request's table as given,
+    or from the prompt when the request carries none; the answer equals a
+    full read of the prompt only when ``table`` is a verbatim copy of the
+    prompt's table, as in the engine's requests. It keeps, per agent, the
+    table text it has read and the tallies of its rows; when the next table
+    extends that text at a line boundary, only the new lines are parsed.
+    The answer is always the one a full read of that text gives.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):

@@ -39,17 +39,14 @@ from .topology import Network, TopologySpec, generate_network, pair_round
 WORD_CAP = 5
 # Distinct response texts whose parses are kept; a run repeats a few texts.
 PARSE_CACHE_SIZE = 4096
-# Distinct texts whose normalized forms are kept; metrics repeat a few texts.
-NORMALIZE_CACHE_SIZE = 4096
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
 
-@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
 def normalize_hashtag(text: str) -> str:
     """Canonical comparison form: lowercase with '#' and every other
-    non-alphanumeric character removed. Idempotent; memoized per text."""
-    return "".join(c for c in text.lower() if c.isalnum())
+    non-alphanumeric character removed. Idempotent."""
+    return "".join(filter(str.isalnum, text.lower()))
 
 
 @dataclass(frozen=True)

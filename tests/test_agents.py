@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashnet import (
@@ -49,14 +49,13 @@ _CSV_TEXT = st.text(alphabet=st.one_of(st.sampled_from('",\r\n# '), st.character
 
 class TestInteractionTable:
     @given(st.integers(-10**6, 10**6), _CSV_TEXT, _CSV_TEXT)
+    @example(3, "#Fukushima—Daiichi", "#福島")  # joined directly
+    @example(3, '#a,"b', "#福島")  # through csv.writer
     @settings(max_examples=300)
     def test_row_equals_a_fresh_csv_rendering(self, round_index, own, neighbor):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
-        expected = buf.getvalue()[:-1]
-        # the second call is served from the memo
-        assert render_interaction_row(round_index, own, neighbor) == expected
-        assert render_interaction_row(round_index, own, neighbor) == expected
+        assert render_interaction_row(round_index, own, neighbor) == buf.getvalue()[:-1]
 
     def test_round_trip(self):
         rows = [(1, "#a", "#b"), (3, "#c d", "#e")]

@@ -74,6 +74,11 @@ class TestNormalization:
         assert all(c.isalnum() for c in out)
         assert out == out.lower()
 
+    @given(st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_each_alphanumeric_character_in_order(self, text):
+        assert normalize_hashtag(text) == "".join(c for c in text.lower() if c.isalnum())
+
 
 class TestParseResponse:
     def test_hand_labeled_fixture(self, fixtures):
