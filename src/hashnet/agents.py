@@ -7,21 +7,21 @@ never mutates the prompt and stores the returned text byte-exact.
 
 The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table). The render/parse helpers here define that
-wire format. A request the engine builds also carries that table
-verbatim, next to the prompt; an imitate mock reads its history from that
-table as given, else from the prompt.
+wire format. A request also carries the table's rows as values, next to
+the prompt; an imitate mock reads its history from those rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 import requests
@@ -82,18 +82,17 @@ class AgentSpec(Checked):
 class BackendRequest:
     """One prompt for one agent in one round.
 
-    ``table`` is None, or a verbatim copy of the interaction table in
-    ``prompt``, line break after its last row included. Nothing here checks
-    that copy: whoever builds the request must make it so. The engine does,
-    and leaves it None in round 1. An imitate mock reads ``table`` as given,
-    instead of the prompt; the other backends ignore it.
+    ``history`` holds the (round, own guess, neighbor guess) rows of the
+    interaction table in ``prompt``, empty when there is none. Nothing here
+    checks the two against each other: the engine builds both from the same
+    rows. An imitate mock reads ``history``; the other backends ignore it.
     """
 
     prompt: str
     round: int
     agent_id: int
     decode: DecodeParams = DecodeParams()
-    table: str | None = None
+    history: tuple[tuple[int, str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -138,56 +137,18 @@ def parse_interaction_table(prompt: str) -> list[tuple[int, str, str]]:
     the first blank line. Returns an empty list when the prompt carries no
     table (round 1).
     """
-    start = _table_start(prompt)
-    return [] if start is None else _read_table(prompt, start)[0]
-
-
-# The characters str.splitlines() breaks at; "\r\n" is one break.
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _table_start(prompt: str) -> int | None:
-    """Offset of the line after the first line equal to the table header,
-    or None when no line is."""
-    at = prompt.find(INTERACTION_TABLE_HEADER)
-    while at != -1:
-        end = at + len(INTERACTION_TABLE_HEADER)
-        if (at == 0 or prompt[at - 1] in _LINE_BREAKS) and (end == len(prompt) or prompt[end] in _LINE_BREAKS):
-            return min(end + (2 if prompt.startswith("\r\n", end) else 1), len(prompt))
-        at = prompt.find(INTERACTION_TABLE_HEADER, at + 1)
-    return None
-
-
-def _read_table(prompt: str, offset: int) -> tuple[list[tuple[int, str, str]], int, bool]:
-    """Rows of the table lines from ``offset`` (a line start) to the first
-    blank line; the offset just past the last of those lines; and whether
-    the CSV reader ended between records rather than inside a quoted field
-    that a further line would continue."""
-    lines: list[str] = []
-    end = offset
-    for line in prompt[offset:].splitlines(keepends=True):
-        text = line.rstrip(_LINE_BREAKS)
-        if not text.strip():
-            break
-        lines.append(text)
-        end += len(line)
-    # The extra blank line is a record of its own only when the last line
-    # closed its record; either way it adds no row.
-    reader = csv.reader(lines + [""])
-    rows: list[tuple[int, str, str]] = []
-    closed = not lines
-    for record in reader:
-        if len(record) == 3:
-            rows.append((int(record[0]), record[1], record[2]))
-        closed = closed or reader.line_num == len(lines)
-    return rows, end, closed
+    lines = prompt.splitlines()
+    if INTERACTION_TABLE_HEADER not in lines:
+        return []
+    body = itertools.takewhile(str.strip, lines[lines.index(INTERACTION_TABLE_HEADER) + 1:])
+    return [(int(record[0]), record[1], record[2]) for record in csv.reader(body) if len(record) == 3]
 
 
 def _tally(rows: Sequence[tuple[int, str, str]], counts: dict[str, int], last_seen: dict[str, int]) -> None:
     """Add rows to the running neighbor-guess counts and last-seen rounds."""
     for round_index, _own, neighbor in rows:
         counts[neighbor] = counts.get(neighbor, 0) + 1
-        if round_index > last_seen.get(neighbor, 0):
+        if neighbor not in last_seen or round_index > last_seen[neighbor]:
             last_seen[neighbor] = round_index
 
 
@@ -223,15 +184,6 @@ def mock_imitate(
     return _imitate(counts, last_seen, lexicon, rng)
 
 
-class _TableMemo(NamedTuple):
-    """What a mock has read of one agent's table: the text of the lines
-    read, ending between records and at a line break, and their tallies."""
-
-    text: str
-    counts: dict[str, int]
-    last_seen: dict[str, int]
-
-
 class MockBackend:
     """Deterministic rule-based agent.
 
@@ -240,13 +192,10 @@ class MockBackend:
       ``imitate``          copy the most frequent neighbor guess so far
                            (requires ``lexicon`` for the opening round)
 
-    An imitate mock reads its history from the request's table as given,
-    or from the prompt when the request carries none; the answer equals a
-    full read of the prompt only when ``table`` is a verbatim copy of the
-    prompt's table, as in the engine's requests. It keeps, per agent, the
-    table text it has read and the tallies of its rows; when the next table
-    extends that text at a line boundary, only the new lines are parsed.
-    The answer is always the one a full read of that text gives.
+    An imitate mock reads its history from the request's rows. It keeps,
+    per agent, the rows it has read and their tallies; when the next
+    history extends those rows, only the new rows are tallied. The answer
+    is always ``mock_imitate`` over the whole history.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -256,7 +205,7 @@ class MockBackend:
             raise ConfigError("backend_params.lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
-        self._memo: dict[int, _TableMemo] = {}
+        self._memo: dict[int, tuple[tuple, dict[str, int], dict[str, int]]] = {}
         if not isinstance(strategy, str):
             raise ConfigError("backend_params.strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
@@ -272,30 +221,24 @@ class MockBackend:
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
             return BackendResponse(raw_text=self._constant)
-        counts, last_seen = self._read_history(req.agent_id, req.prompt if req.table is None else req.table)
+        counts, last_seen = self._tallies(req.agent_id, req.history)
         return BackendResponse(raw_text=_imitate(counts, last_seen, self._lexicon, rng))
 
-    def _read_history(self, agent_id: int, prompt: str) -> tuple[dict[str, int], dict[str, int]]:
-        """Tallies of the table in ``prompt``, parsing only the lines past
-        what this agent's memo covers, and the memo brought up to date."""
-        start = _table_start(prompt)
-        if start is None:
-            return {}, {}
-        offset, counts, last_seen = start, {}, {}
-        memo = self._memo.get(agent_id)
-        if memo is not None and prompt.startswith(memo.text, start):
-            resume = start + len(memo.text)
-            # A memo ending in "\r" followed by "\n" would split one line break.
-            if not (memo.text.endswith("\r") and prompt.startswith("\n", resume)):
-                offset, counts, last_seen = resume, dict(memo.counts), dict(memo.last_seen)
-        rows, end, closed = _read_table(prompt, offset)
-        _tally(rows, counts, last_seen)
-        # Entries are never changed once stored, so a concurrent call for
-        # the same agent sees either the old entry or the new one.
-        if closed and (end == start or prompt[end - 1] in _LINE_BREAKS):
-            self._memo[agent_id] = _TableMemo(prompt[start:end], counts, last_seen)
-        else:
-            self._memo.pop(agent_id, None)
+    def _tallies(
+        self, agent_id: int, history: tuple[tuple[int, str, str], ...]
+    ) -> tuple[dict[str, int], dict[str, int]]:
+        """Tallies of ``history``, tallying only the rows past what this
+        agent's memo covers, and the memo brought up to date."""
+        seen, counts, last_seen = self._memo.get(agent_id, ((), {}, {}))
+        if history[:len(seen)] != seen:
+            seen, counts, last_seen = (), {}, {}
+        rows = history[len(seen):]
+        if rows:
+            counts, last_seen = dict(counts), dict(last_seen)
+            _tally(rows, counts, last_seen)
+            # Entries are never changed once stored, so a concurrent call for
+            # the same agent sees either the old entry or the new one.
+            self._memo[agent_id] = (history, counts, last_seen)
         return counts, last_seen
 
 

@@ -466,8 +466,10 @@ def run_simulation(
 
     transcript = Transcript(header=header, records=[])
     # Each agent's interaction table as rendered so far, each line ending in
-    # a line break; a row is appended once, when its round commits.
+    # a line break, and the rows it shows; a row is appended to both once,
+    # when its round commits.
     tables = {i: INTERACTION_TABLE_HEADER + "\n" for i in range(network.n)}
+    histories: dict[int, tuple[tuple[int, str, str], ...]] = {i: () for i in range(network.n)}
     last_guess: dict[int, str] = {}
 
     with ExitStack() as stack:
@@ -490,13 +492,12 @@ def run_simulation(
             participants = [agent for pair in pairing.pairs for agent in pair]
 
             def invoke(agent: int) -> str | None:
-                table = tables[agent]
                 request = BackendRequest(
-                    prompt=_render_prompt(round_index, table, narrative.full_text),
+                    prompt=_render_prompt(round_index, tables[agent], narrative.full_text),
                     round=round_index,
                     agent_id=agent,
                     decode=config.decode,
-                    table=table if round_index > 1 else None,
+                    history=histories[agent],
                 )
                 agent_rng = rng_streams.LazyAgentRng(config.seed, round_index, agent)
                 try:
@@ -533,6 +534,7 @@ def run_simulation(
                 round_records.append(record)
                 for agent, _, own, other in record.sides():
                     tables[agent] += f"{render_interaction_row(round_index, own, other)}\n"
+                    histories[agent] += ((round_index, own, other),)
                     last_guess[agent] = own
             transcript.records += round_records
             emit(*(record.to_dict() for record in round_records))

@@ -179,11 +179,6 @@ class UnigramModel:
     probabilities: Mapping[str, float]
     oov_probability: float
     tokenization: str = "hashtag"
-    smoothing: str = "add_one"
-
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self.probabilities)
 
     def probability(self, token: str) -> float:
         return self.probabilities.get(token, self.oov_probability)

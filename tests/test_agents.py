@@ -39,12 +39,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def request(prompt="#prompt", round_index=1, agent_id=0):
-    return BackendRequest(prompt=prompt, round=round_index, agent_id=agent_id)
+def request(prompt="#prompt", round_index=1, agent_id=0, history=()):
+    return BackendRequest(prompt=prompt, round=round_index, agent_id=agent_id, history=history)
 
 
 # Text that CSV must quote or escape: quotes, commas, line breaks, empty.
 _CSV_TEXT = st.text(alphabet=st.one_of(st.sampled_from('",\r\n# '), st.characters()), max_size=8)
+
+
+# A parsed guess: up to five whitespace-free words joined by single spaces.
+_WORD_CHAR = st.one_of(st.sampled_from('#",\x00\x7f'), st.characters(blacklist_categories=("Cs", "Cc", "Z")))
+_GUESS = st.lists(st.text(_WORD_CHAR, min_size=1, max_size=6), min_size=1, max_size=5).map(" ".join)
 
 
 class TestInteractionTable:
@@ -62,6 +67,14 @@ class TestInteractionTable:
         table = render_interaction_table(rows)
         assert table.splitlines()[0] == INTERACTION_TABLE_HEADER
         assert parse_interaction_table("prefix\n\n" + table + "\n\nsuffix") == rows
+
+    @given(st.lists(st.tuples(st.integers(1, 10**6), _GUESS, _GUESS), max_size=6))
+    @example([(1, '#a,"b', "#福島"), (2, '"', ",")])
+    @settings(max_examples=100)
+    def test_guesses_round_trip(self, rows):
+        # the engine's requests carry their table's rows beside the prompt;
+        # a full read of the prompt must give those rows back
+        assert parse_interaction_table(f"round 9\n\n{render_interaction_table(rows)}\n\nrest") == rows
 
     def test_round_trip_with_commas_and_quotes(self):
         rows = [(1, '#say "hi", world', "#x,y"), (2, "#plain", '#"quoted"')]
@@ -104,6 +117,10 @@ class TestMockImitate:
         history = [(1, "#own", "#b"), (2, "#own", "#a"), (3, "#own", "#a"), (4, "#own", "#b")]
         assert mock_imitate(history, ["#z"], rng()) == "#b"
 
+    def test_rounds_below_one_count(self):
+        assert mock_imitate([(0, "#own", "#a")], ["#z"], rng()) == "#a"
+        assert mock_imitate([(-2, "#own", "#b"), (-1, "#own", "#a")], ["#z"], rng()) == "#a"
+
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ConfigError):
             mock_imitate([], [], rng())
@@ -122,12 +139,6 @@ class TestMockBackend:
             assert response.raw_text == "#fukushima"
             assert response.attempt == 1
 
-    def test_imitate_reads_history_from_prompt(self):
-        table = render_interaction_table([(1, "#m", "#a"), (2, "#m", "#a"), (3, "#m", "#b")])
-        prompt = f"preamble\n\n{table}\n\nrest of prompt"
-        backend = MockBackend("imitate", lexicon=["#z"])
-        assert backend.respond(request(prompt, 4), rng()).raw_text == "#a"
-
     def test_imitate_round_one_uniform_draw(self):
         backend = MockBackend("imitate", lexicon=["#only"])
         assert backend.respond(request("no table", 1), rng()).raw_text == "#only"
@@ -143,42 +154,24 @@ class TestMockBackend:
         assert first == second
 
 
-# Small alphabets so that quoting, embedded line breaks, blank lines and
-# shared prefixes all turn up often. A rendered row whose field holds a
-# newline spans two lines; keeping them as separate lines lets a shrink cut
-# a table inside a quoted field.
-_FIELD = st.text(alphabet='ab#, "\r\n', max_size=5)
-_ROW_LINES = st.builds(render_interaction_row, st.integers(-1, 30), _FIELD, _FIELD).map(lambda row: row.split("\n"))
-_RAW_LINE = st.text(alphabet='1a,"# ', max_size=8)
-_BREAK = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\u2028"])
-_SUFFIX = st.sampled_from(["\n\nBased on this information", "", "\n", "\r\rrest", "\n  \nrest"])
-_NO_TABLE = st.sampled_from(["", "no table here", "x" + INTERACTION_TABLE_HEADER + "\n1,#a,#b"])
+# A small alphabet, so that CSV quoting and shared prefixes turn up often.
+_FIELD = st.text(alphabet='ab#, "', max_size=5)
+_ROW = st.tuples(st.integers(-1, 30), _FIELD, _FIELD)
 LEXICON = ["#z", "#y", "#x"]
 
 
-def full_read(prompt, seed):
-    """The tallies and answer of a full parse, or the error it raises."""
-    try:
-        counts, last_seen = {}, {}
-        rows = parse_interaction_table(prompt)
-        agents._tally(rows, counts, last_seen)
-        return counts, last_seen, mock_imitate(rows, LEXICON, rng(seed))
-    except Exception as err:  # noqa: BLE001 - the error type is the expected outcome
-        return type(err)
+def fresh_read(history, seed):
+    """The tallies and answer of a read of the whole history."""
+    counts, last_seen = {}, {}
+    agents._tally(history, counts, last_seen)
+    return counts, last_seen, mock_imitate(history, LEXICON, rng(seed))
 
 
-def memo_read(backend, agent, prompt, seed):
+def memo_read(backend, agent, history, seed):
     """The same through a mock's memo: its tallies, then its answer."""
-    try:
-        counts, last_seen = backend._read_history(agent, prompt)
-        answer = backend.respond(request(prompt, 2, agent), rng(seed)).raw_text
-        return counts, last_seen, answer
-    except Exception as err:  # noqa: BLE001
-        return type(err)
-
-
-def table_prompt(lines, line_break="\n", suffix="\n\nrest"):
-    return "round 9\n\n" + line_break.join([INTERACTION_TABLE_HEADER, *lines]) + suffix
+    counts, last_seen = backend._tallies(agent, history)
+    answer = backend.respond(request("#prompt", 2, agent, history), rng(seed)).raw_text
+    return counts, last_seen, answer
 
 
 class TestMockMemo:
@@ -186,55 +179,34 @@ class TestMockMemo:
     @settings(max_examples=500, deadline=None)
     def test_reads_equal_a_full_read(self, data):
         backend = MockBackend("imitate", lexicon=LEXICON)
-        bodies: dict[int, list[str]] = {}
+        histories: dict[int, tuple] = {}
         for step in range(data.draw(st.integers(1, 10), label="steps")):
             agent = data.draw(st.integers(0, 2), label="agent")
-            lines = bodies.get(agent, [])
-            op = data.draw(st.sampled_from(["grow", "grow", "grow", "raw", "cut", "shrink", "edit", "none"]))
+            history = histories.get(agent, ())
+            op = data.draw(st.sampled_from(["grow", "grow", "grow", "cut", "shrink", "edit"]), label="op")
             if op == "grow":
-                lines = lines + sum(data.draw(st.lists(_ROW_LINES, max_size=3)), [])
-            elif op == "raw":
-                lines = lines + data.draw(st.lists(_RAW_LINE, min_size=1, max_size=2))
+                history += tuple(data.draw(st.lists(_ROW, max_size=3)))
             elif op == "cut":
-                lines = lines[:-1]
+                history = history[:-1]
             elif op == "shrink":
-                lines = lines[: data.draw(st.integers(0, len(lines)))]
-            elif op == "edit" and lines:
-                at = data.draw(st.integers(0, len(lines) - 1))
-                lines = lines[:at] + [data.draw(_RAW_LINE)] + lines[at + 1:]
-            bodies[agent] = lines
-            if op == "none":
-                prompt = data.draw(_NO_TABLE)
-            else:
-                prompt = table_prompt(lines, data.draw(_BREAK), data.draw(_SUFFIX))
-            assert memo_read(backend, agent, prompt, step) == full_read(prompt, step), prompt
-
-    @pytest.mark.parametrize("first, second", [
-        # the first table ends inside a quoted field that the next line continues
-        (table_prompt(['1,"#a']), table_prompt(['1,"#a', '2,#b,#c"']),),
-        # a memo ending in "\r" must not split the "\r\n" that follows it
-        (table_prompt(["1,#a,#b"], "\r\n", "\r\rrest"), table_prompt(["1,#a,#b", "2,#c,#d"], "\r\n")),
-        # a table at the very end of a prompt: its last line may still grow
-        (table_prompt(["1,#a,#b"], suffix=""), table_prompt(["1,#a,#bb"])),
-        (table_prompt(["1,#a,#b"], suffix=""), table_prompt(["1,#a,#b", "2,#c,#d"])),
-    ])
-    def test_reads_that_cannot_resume(self, first, second):
-        backend = MockBackend("imitate", lexicon=LEXICON)
-        for prompt in (first, second):
-            assert memo_read(backend, 0, prompt, 0) == full_read(prompt, 0)
+                history = history[: data.draw(st.integers(0, len(history)))]
+            elif op == "edit" and history:
+                at = data.draw(st.integers(0, len(history) - 1))
+                history = history[:at] + (data.draw(_ROW),) + history[at + 1:]
+            histories[agent] = history
+            assert memo_read(backend, agent, history, step) == fresh_read(history, step), history
 
     def test_threads_sharing_one_memo_read_whole_tables(self):
-        # many threads grow, shrink and re-read one agent's table through one
-        # mock; a memo entry changed after it was stored would corrupt tallies
-        rows = [(r, "#own", f"#n{r * 7 % 5}") for r in range(1, 41)]
-        prompts = [table_prompt([render_interaction_row(*row) for row in rows[:k]]) for k in range(41)]
-        expected = [full_read(prompt, 0)[:2] for prompt in prompts]
+        # many threads grow, shrink and re-read one agent's history through
+        # one mock; a memo entry changed after it was stored would corrupt tallies
+        rows = tuple((r, "#own", f"#n{r * 7 % 5}") for r in range(1, 41))
+        expected = [fresh_read(rows[:k], 0)[:2] for k in range(41)]
         backend = MockBackend("imitate", lexicon=LEXICON)
         wrong = []
 
         def work(worker):
             for k in random.Random(worker).choices(range(41), k=1500):
-                if backend._read_history(0, prompts[k]) != expected[k]:
+                if backend._tallies(0, rows[:k]) != expected[k]:
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -251,23 +223,21 @@ class TestMockMemo:
         assert wrong == []
 
     def test_grown_table_parses_each_row_once(self, monkeypatch):
-        parsed = []
-        read_table = agents._read_table
+        rows = [(r, "#own", f'#n,"{r % 3}"') for r in range(1, 41)]
+        expected = [mock_imitate(rows[:k], ["#z"], rng()) for k in range(40)]
+        tallied = []
+        tally = agents._tally
 
-        def counting(prompt, offset):
-            rows, end, closed = read_table(prompt, offset)
-            parsed.extend(rows)
-            return rows, end, closed
+        def counting(new_rows, counts, last_seen):
+            tallied.extend(new_rows)
+            tally(new_rows, counts, last_seen)
 
-        monkeypatch.setattr(agents, "_read_table", counting)
+        monkeypatch.setattr(agents, "_tally", counting)
         backend = MockBackend("imitate", lexicon=["#z"])
-        rows = []
-        for round_index in range(1, 41):
-            prompt = f"round {round_index}\n\n{render_interaction_table(rows)}\n\nrest"
-            answer = backend.respond(request(prompt, round_index, agent_id=7), rng()).raw_text
-            assert answer == mock_imitate(rows, ["#z"], rng())
-            rows.append((round_index, "#own", f'#n,"{round_index % 3}"'))
-        assert parsed == rows[:-1]
+        for k in range(40):
+            answer = backend.respond(request("#prompt", k + 1, 7, tuple(rows[:k])), rng()).raw_text
+            assert answer == expected[k]
+        assert tallied == rows[:-1]
 
 
 class TestReplayBackend:

@@ -315,9 +315,10 @@ class TestRunSimulation:
         st.sampled_from([1, 4]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_imitate_mock_reads_the_table_its_request_carries(self, lexicon, n, rounds, p, seed, parallelism):
-        # the engine puts each agent's table in its request next to the
-        # prompt; reading that table must be a full read of the prompt
+    def test_request_history_is_the_prompt_table(self, lexicon, n, rounds, p, seed, parallelism):
+        # the engine keeps each agent's rendered table and its rows side by
+        # side; every request's rows must be a full read of its prompt, and
+        # the mock's answer the one those rows give
         seen = []
 
         class Recording:
@@ -338,12 +339,9 @@ class TestRunSimulation:
             run_simulation(config)
         assert seen
         for req, answer in seen:
-            if req.round == 1:
-                assert req.table is None
-                continue
-            assert req.table in req.prompt
             rows = parse_interaction_table(req.prompt)
-            assert parse_interaction_table(req.table) == rows
+            assert rows == list(req.history)
+            assert req.round > 1 or req.history == ()
             assert answer == mock_imitate(rows, lexicon, rng_streams.agent_rng(seed, req.round, req.agent_id))
 
     def test_unmatched_agents_gain_no_history(self):
