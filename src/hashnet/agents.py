@@ -7,8 +7,10 @@ never mutates the prompt and stores the returned text byte-exact.
 
 The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table). The render/parse helpers here define that
-wire format. A request also carries the table's rows as values, next to
-the prompt; an imitate mock reads its history from those rows.
+wire format, and ``render_prompt`` the whole prompt around it. A request
+carries the table's rows as values and renders its prompt from them only
+when a backend reads it: the remote backend does, once per call; an
+imitate mock reads the rows, and the other backends read neither.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown
 
@@ -32,6 +33,17 @@ BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
 
 INTERACTION_TABLE_HEADER = "round,your_guess,neighbor_guess"
+SCORING_PARAGRAPH = (
+    "In this experiment, you are awarded 1 point if you guess the same hashtag "
+    "as your randomly assigned neighbor, and 0 points if you do not. Your goal "
+    "is to earn as many points as possible."
+)
+CLOSING_PARAGRAPH = (
+    "Please guess a short (max 5 words) hashtag for this event. Try to match "
+    "your neighbor while staying relevant to the event. You may reuse your "
+    "previous hashtag, but don't always do so—especially if you believe your "
+    "next neighbor might choose something different."
+)
 
 T = TypeVar("T")
 
@@ -80,19 +92,25 @@ class AgentSpec(Checked):
 
 @dataclass(frozen=True)
 class BackendRequest:
-    """One prompt for one agent in one round.
+    """One agent's turn in one round.
 
-    ``history`` holds the (round, own guess, neighbor guess) rows of the
-    interaction table in ``prompt``, empty when there is none. Nothing here
-    checks the two against each other: the engine builds both from the same
-    rows. An imitate mock reads ``history``; the other backends ignore it.
+    ``history`` holds the agent's (round, own guess, neighbor guess) rows
+    from earlier rounds, and ``event_text`` the narrative's full text.
+    ``prompt`` renders the prompt from them on each access, so a backend
+    that never reads it costs nothing: an imitate mock reads ``history``,
+    the remote backend reads ``prompt`` once per call, and a replay reads
+    neither.
     """
 
-    prompt: str
     round: int
     agent_id: int
+    event_text: str
     decode: DecodeParams = DecodeParams()
     history: tuple[tuple[int, str, str], ...] = ()
+
+    @property
+    def prompt(self) -> str:
+        return render_prompt(self.round, self.history, self.event_text)
 
 
 @dataclass(frozen=True)
@@ -106,7 +124,8 @@ class Backend(Protocol):
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         """Answer one request. ``rng`` is this agent's generator for the
         round; the engine passes a generator-like handle that builds it on
-        the first draw, so a call that never draws pays nothing."""
+        the first draw, and ``req.prompt`` is rendered on access, so a call
+        that neither draws nor reads the prompt pays for neither."""
         ...
 
 
@@ -128,6 +147,22 @@ def render_interaction_table(rows: Sequence[tuple[int, str, str]]) -> str:
     """CSV block shown to an agent: one row per prior round it was paired,
     raw hashtags as the partner saw them."""
     return "\n".join([INTERACTION_TABLE_HEADER, *(render_interaction_row(*row) for row in rows)])
+
+
+def render_prompt(round_index: int, rows: Sequence[tuple[int, str, str]], event_text: str) -> str:
+    """The prompt an agent sees at the start of ``round_index``: scoring
+    rules, then from round 2 on the interaction table of ``rows`` (unused in
+    round 1), the event text and the closing instruction."""
+    if round_index == 1:
+        context = ["You are in round 1 of the experiment.\n\nBased on the event provided in round 1:"]
+    else:
+        context = [
+            f"You are in round {round_index} of the experiment. Your guesses and "
+            "your neighbor's guesses have been as follows, represented in the CSV below:\n\n",
+            render_interaction_table(rows),
+            "\n\nBased on this information and the event provided in round 1:",
+        ]
+    return "".join([SCORING_PARAGRAPH, "\n\n", *context, "\n\n", event_text, "\n\n", CLOSING_PARAGRAPH])
 
 
 def parse_interaction_table(prompt: str) -> list[tuple[int, str, str]]:
@@ -308,6 +343,9 @@ class HttpClient:
         self._max_retries = max_retries
         self._backoff = backoff
         self._gate = threading.BoundedSemaphore(max_in_flight)
+        # Imported here so that runs without a remote backend never load it.
+        import requests
+
         self._session = requests.Session()
 
     def post(
@@ -316,6 +354,8 @@ class HttpClient:
         """``read`` of the reply JSON of the first attempt that succeeds,
         and that attempt's number. Raises ``unavailable(failure)`` once the
         attempts run out or a failure is not worth repeating."""
+        import requests
+
         headers = {}
         api_key = os.environ.get(self._api_key_env, "")
         if api_key:
@@ -377,6 +417,8 @@ def is_retryable(err: Exception) -> bool:
     """Whether an HTTP attempt that failed with ``err`` is worth repeating:
     transport errors, malformed replies, 408, 429 and 5xx are; any other
     4xx status would fail the same way again."""
+    import requests
+
     if not isinstance(err, requests.HTTPError) or err.response is None:
         return True
     status = err.response.status_code

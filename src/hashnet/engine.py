@@ -1,5 +1,6 @@
-"""Round orchestration: build prompts, dispatch to backends, parse and
-normalize responses, score pairs, and write the transcript.
+"""Round orchestration: build each agent's request from its history,
+dispatch to backends, parse and normalize responses, score pairs, and
+write the transcript.
 
 Rounds are hard barriers. Within a round every backend call may run
 concurrently (up to the configured cap); parsing, scoring, and transcript
@@ -25,10 +26,9 @@ from .agents import (
     AgentSpec,
     BackendRequest,
     DecodeParams,
-    INTERACTION_TABLE_HEADER,
     build_backends,
-    render_interaction_row,
-    render_interaction_table,
+    render_interaction_table,  # not called here; kept as a binding the benchmark's tracer wraps
+    render_prompt,
 )
 from .errors import (
     BackendUnavailableError, Checked, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
@@ -132,33 +132,6 @@ def parse_response(raw_text: str) -> Hashtag:
 
 # --- prompt construction ---------------------------------------------------
 
-SCORING_PARAGRAPH = (
-    "In this experiment, you are awarded 1 point if you guess the same hashtag "
-    "as your randomly assigned neighbor, and 0 points if you do not. Your goal "
-    "is to earn as many points as possible."
-)
-CLOSING_PARAGRAPH = (
-    "Please guess a short (max 5 words) hashtag for this event. Try to match "
-    "your neighbor while staying relevant to the event. You may reuse your "
-    "previous hashtag, but don't always do so—especially if you believe your "
-    "next neighbor might choose something different."
-)
-
-
-def _render_prompt(round_index: int, table: str, event_text: str) -> str:
-    """The prompt text around an agent's rendered interaction table, which
-    ends in a line break (unused in round 1)."""
-    if round_index == 1:
-        context = ["You are in round 1 of the experiment.\n\nBased on the event provided in round 1:"]
-    else:
-        context = [
-            f"You are in round {round_index} of the experiment. Your guesses and "
-            "your neighbor's guesses have been as follows, represented in the CSV below:\n\n",
-            table,
-            "\nBased on this information and the event provided in round 1:",
-        ]
-    return "".join([SCORING_PARAGRAPH, "\n\n", *context, "\n\n", event_text, "\n\n", CLOSING_PARAGRAPH])
-
 
 def build_prompt(
     agent_id: int,
@@ -173,7 +146,7 @@ def build_prompt(
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     rows = transcript.agent_history(agent_id, before_round=round_index)
-    return _render_prompt(round_index, render_interaction_table(rows) + "\n", narrative.full_text)
+    return render_prompt(round_index, rows, narrative.full_text)
 
 
 # --- records and transcripts ------------------------------------------------
@@ -286,10 +259,12 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 def read_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, checking that the header and every record
     are JSON objects with the record fields, that ``round``, ``agent_a`` and
-    ``agent_b`` are integers, that each side's points are 1 on a match and 0
+    ``agent_b`` are integers, that each pair is an edge of the header's
+    ``network_edges``, that each side's points are 1 on a match and 0
     otherwise, that rounds run contiguously from 1 and that (round, agent_a)
     strictly increases from record to record."""
     header: dict | None = None
+    edges: set[tuple[int, int]] = set()
     records: list[InteractionRecord] = []
     abort: dict | None = None
     # A record either opens the next round or follows the last agent_a.
@@ -306,6 +281,10 @@ def read_transcript(path: str | Path) -> Transcript:
                 if not isinstance(doc, dict):
                     raise TranscriptError(f"{path}: line 1: header must be a JSON object, got {doc!r}")
                 header = doc
+                try:
+                    edges = {pair for a, b in header.get("network_edges", []) for pair in ((a, b), (b, a))}
+                except (TypeError, ValueError) as err:
+                    raise TranscriptError(f"{path}: line 1: network_edges must be a list of [a, b] pairs") from err
             elif isinstance(doc, dict) and doc.get("abort"):
                 abort = doc
             else:
@@ -316,6 +295,11 @@ def read_transcript(path: str | Path) -> Transcript:
                 for key in ("round", "agent_a", "agent_b"):
                     if not is_integer(getattr(record, key)):
                         raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
+                if (record.agent_a, record.agent_b) not in edges:
+                    raise TranscriptError(
+                        f"{path}: line {i + 1}: pair ({record.agent_a}, {record.agent_b}) is not an edge of the "
+                        "header's network_edges"
+                    )
                 for key in ("points_a", "points_b"):
                     if getattr(record, key) != (1 if record.match else 0):
                         raise TranscriptError(
@@ -333,8 +317,12 @@ def read_transcript(path: str | Path) -> Transcript:
     return Transcript(header=header, records=records, abort=abort)
 
 
+# One encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False).
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_line(handle: IO[str], obj: dict) -> None:
-    handle.write(json.dumps(obj, ensure_ascii=False))
+    handle.write(_encode(obj))
     handle.write("\n")
 
 
@@ -465,12 +453,11 @@ def run_simulation(
     }
 
     transcript = Transcript(header=header, records=[])
-    # Each agent's interaction table as rendered so far, each line ending in
-    # a line break, and the rows it shows; a row is appended to both once,
-    # when its round commits.
-    tables = {i: INTERACTION_TABLE_HEADER + "\n" for i in range(network.n)}
+    # Each agent's (round, own raw hashtag, neighbor raw hashtag) rows so
+    # far, one appended when its round commits; the last row holds the
+    # agent's last guess. Requests carry these tuples and render prompts
+    # from them, so pool threads read an immutable snapshot.
     histories: dict[int, tuple[tuple[int, str, str], ...]] = {i: () for i in range(network.n)}
-    last_guess: dict[int, str] = {}
 
     with ExitStack() as stack:
         handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
@@ -493,9 +480,9 @@ def run_simulation(
 
             def invoke(agent: int) -> str | None:
                 request = BackendRequest(
-                    prompt=_render_prompt(round_index, tables[agent], narrative.full_text),
                     round=round_index,
                     agent_id=agent,
+                    event_text=narrative.full_text,
                     decode=config.decode,
                     history=histories[agent],
                 )
@@ -513,8 +500,8 @@ def run_simulation(
 
             round_records: list[InteractionRecord] = []
             for a, b in pairing.pairs:
-                raw_a, tag_a, fb_a = _finalize(texts[a], last_guess.get(a))
-                raw_b, tag_b, fb_b = _finalize(texts[b], last_guess.get(b))
+                raw_a, tag_a, fb_a = _finalize(texts[a], histories[a])
+                raw_b, tag_b, fb_b = _finalize(texts[b], histories[b])
                 match = getattr(tag_a, config.match_on) == getattr(tag_b, config.match_on)
                 points = 1 if match else 0
                 record = InteractionRecord(
@@ -533,9 +520,7 @@ def run_simulation(
                 )
                 round_records.append(record)
                 for agent, _, own, other in record.sides():
-                    tables[agent] += f"{render_interaction_row(round_index, own, other)}\n"
                     histories[agent] += ((round_index, own, other),)
-                    last_guess[agent] = own
             transcript.records += round_records
             emit(*(record.to_dict() for record in round_records))
 
@@ -547,15 +532,16 @@ def run_simulation(
     return transcript
 
 
-def _finalize(text: str | None, previous_guess: str | None) -> tuple[str, Hashtag, bool]:
+def _finalize(text: str | None, history: Sequence[tuple[int, str, str]]) -> tuple[str, Hashtag, bool]:
     """Resolve one agent's response text (None when its backend was
     unavailable) into (raw_record, hashtag, fallback). Fallback substitutes
-    the agent's previous guess, or the sentinel on a first-round failure;
-    the raw record keeps the text when there is one."""
+    the agent's previous guess, the own guess of its last ``history`` row,
+    or the sentinel when it has no history; the raw record keeps the text
+    when there is one."""
     if text is not None:
         try:
             return (text, parse_response(text), False)
         except ParseError:
             pass
-    substitute = previous_guess if previous_guess is not None else FALLBACK_SENTINEL
+    substitute = history[-1][1] if history else FALLBACK_SENTINEL
     return (substitute if text is None else text, Hashtag.from_raw(substitute), True)

@@ -3,11 +3,14 @@
 Nothing here imports hashnet: entropy and perplexity are recomputed with
 arbitrary-precision arithmetic, clustering by literal triangle counting,
 matchings by exhaustive verification, alignment by brute-force cosine
-loops, and transcript tallies straight off the JSONL with stdlib json.
+loops, transcript tallies straight off the JSONL with stdlib json, and
+prompts from the paper's template with stdlib csv.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import Counter
@@ -157,3 +160,33 @@ def tally_all(records: list[dict], *, include_fallbacks: bool = True) -> Counter
     for round_index in sorted(rounds):
         counts.update(tally_round(records, round_index, include_fallbacks=include_fallbacks))
     return counts
+
+
+def prompt_reference(round_index: int, rows, event_text: str) -> str:
+    """The prompt an agent sees at the start of ``round_index``, written out
+    from the paper's template: the scoring rules, then from round 2 on its
+    (round, own guess, neighbor guess) rows as a csv.writer table, then the
+    event and the closing instruction, paragraphs separated by blank lines."""
+    scoring = (
+        "In this experiment, you are awarded 1 point if you guess the same hashtag as your randomly assigned "
+        "neighbor, and 0 points if you do not. Your goal is to earn as many points as possible."
+    )
+    closing = (
+        "Please guess a short (max 5 words) hashtag for this event. Try to match your neighbor while staying "
+        "relevant to the event. You may reuse your previous hashtag, but don't always do so—especially if you "
+        "believe your next neighbor might choose something different."
+    )
+    if round_index == 1:
+        situation = ["You are in round 1 of the experiment.", "Based on the event provided in round 1:"]
+    else:
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(["round", "your_guess", "neighbor_guess"])
+        writer.writerows(rows)
+        situation = [
+            f"You are in round {round_index} of the experiment. Your guesses and your neighbor's guesses have "
+            "been as follows, represented in the CSV below:",
+            table.getvalue().removesuffix("\n"),
+            "Based on this information and the event provided in round 1:",
+        ]
+    return "\n\n".join([scoring, *situation, event_text, closing])

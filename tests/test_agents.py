@@ -34,13 +34,15 @@ from hashnet.agents import (
     render_interaction_table,
 )
 
+from oracles import prompt_reference
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def request(prompt="#prompt", round_index=1, agent_id=0, history=()):
-    return BackendRequest(prompt=prompt, round=round_index, agent_id=agent_id, history=history)
+def request(round_index=1, agent_id=0, history=()):
+    return BackendRequest(round=round_index, agent_id=agent_id, event_text="A storm hits the grid.", history=history)
 
 
 # Text that CSV must quote or escape: quotes, commas, line breaks, empty.
@@ -141,7 +143,7 @@ class TestMockBackend:
 
     def test_imitate_round_one_uniform_draw(self):
         backend = MockBackend("imitate", lexicon=["#only"])
-        assert backend.respond(request("no table", 1), rng()).raw_text == "#only"
+        assert backend.respond(request(1), rng()).raw_text == "#only"
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -149,8 +151,8 @@ class TestMockBackend:
 
     def test_purity(self):
         backend = MockBackend("imitate", lexicon=["#a", "#b", "#c"])
-        first = backend.respond(request("no table", 1), rng(3)).raw_text
-        second = backend.respond(request("no table", 1), rng(3)).raw_text
+        first = backend.respond(request(1), rng(3)).raw_text
+        second = backend.respond(request(1), rng(3)).raw_text
         assert first == second
 
 
@@ -170,7 +172,7 @@ def fresh_read(history, seed):
 def memo_read(backend, agent, history, seed):
     """The same through a mock's memo: its tallies, then its answer."""
     counts, last_seen = backend._tallies(agent, history)
-    answer = backend.respond(request("#prompt", 2, agent, history), rng(seed)).raw_text
+    answer = backend.respond(request(2, agent, history), rng(seed)).raw_text
     return counts, last_seen, answer
 
 
@@ -235,7 +237,7 @@ class TestMockMemo:
         monkeypatch.setattr(agents, "_tally", counting)
         backend = MockBackend("imitate", lexicon=["#z"])
         for k in range(40):
-            answer = backend.respond(request("#prompt", k + 1, 7, tuple(rows[:k])), rng()).raw_text
+            answer = backend.respond(request(k + 1, 7, tuple(rows[:k])), rng()).raw_text
             assert answer == expected[k]
         assert tallied == rows[:-1]
 
@@ -245,7 +247,7 @@ class TestReplayBackend:
         # Agents 3 and 5 meet in round 7; agents 0 and 1 fill rounds 1-6,
         # since the reader requires rounds contiguous from 1.
         header = {"run_id": "t", "config": {}, "seed": 0, "narrative_id": "x",
-                  "network_edges": [], "timestamp": "1970-01-01T00:00:00Z"}
+                  "network_edges": [[0, 1], [3, 5]], "timestamp": "1970-01-01T00:00:00Z"}
 
         def record(round_index, agent_a, agent_b, raw_a, raw_b):
             return {
@@ -287,10 +289,11 @@ class TestRemoteBackend:
         stub_server.script.append("#FromModel")
         backend = RemoteBackend(stub_server.base_url, "test-model", max_in_flight=2)
         req = BackendRequest(
-            prompt="the full prompt",
             round=2,
             agent_id=4,
+            event_text="A storm hits the grid.",
             decode=DecodeParams(temperature=0.3, max_tokens=16),
+            history=((1, '#say "hi", world', "#x"),),
         )
         response = backend.respond(req, rng())
         assert response.raw_text == "#FromModel"
@@ -300,7 +303,8 @@ class TestRemoteBackend:
         path, payload, headers = stub_server.requests[0]
         assert path.endswith("/chat/completions")
         assert payload["model"] == "test-model"
-        assert payload["messages"] == [{"role": "user", "content": "the full prompt"}]
+        prompt = prompt_reference(2, [(1, '#say "hi", world', "#x")], "A storm hits the grid.")
+        assert payload["messages"] == [{"role": "user", "content": prompt}]
         assert payload["temperature"] == 0.3
         assert payload["max_tokens"] == 16
         assert headers.get("Authorization") == "Bearer secret-token"

@@ -1,6 +1,9 @@
 """Prompt construction, response parsing, scoring, and run orchestration."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -27,12 +30,13 @@ from hashnet import (
     run_simulation,
     write_transcript,
 )
-from hashnet import engine
+from hashnet import agents, engine
 from hashnet import rng as rng_streams
-from hashnet.agents import parse_interaction_table
-from hashnet.engine import SCORING_PARAGRAPH, config_digest, config_snapshot
+from hashnet.agents import SCORING_PARAGRAPH, parse_interaction_table
+from hashnet.engine import config_digest, config_snapshot
 
-from conftest import FIXTURES, make_mock_config
+from conftest import FIXTURES, REPO, make_mock_config
+from oracles import prompt_reference
 
 
 def make_record(round_index, a, b, raw_a, raw_b, fb_a=False, fb_b=False):
@@ -161,6 +165,14 @@ class TestBuildPrompt:
             body.append(line)
         assert body == ["1,#r1,#x", "3,#r3,#w"]
 
+    def test_oracle_renders_the_prompt_goldens(self):
+        # the oracle the engine's prompts are checked against is pinned here
+        event_text = load_narrative(FIXTURES / "synthetic_narrative.json").full_text
+        rows = [(1, "#storm", "#Storm!"), (2, "#blackout", "#blackout")]
+        for round_index, history in ((1, []), (3, rows)):
+            golden = (FIXTURES / f"prompt_round{round_index}_golden.txt").read_text(encoding="utf-8")
+            assert prompt_reference(round_index, history, event_text) == golden
+
     def test_history_cut_at_current_round(self):
         records = [make_record(1, 0, 1, "#a", "#b"), make_record(2, 0, 1, "#c", "#d")]
         transcript = Transcript(header={}, records=records)
@@ -279,8 +291,9 @@ class TestRunSimulation:
         assert not literal.records[0].match
 
     def test_engine_sends_the_prompts_build_prompt_renders(self, monkeypatch):
-        # build_prompt is what the prompt goldens pin; the engine renders its
-        # tables incrementally and must send the same bytes
+        # the engine's requests and build_prompt share one renderer, so both
+        # are checked against the independent oracle over rows taken straight
+        # from the records
         sent = {}
 
         class Spy:
@@ -302,8 +315,69 @@ class TestRunSimulation:
         assert len({agent for agent, round_index in sent if round_index == 15}) < 10  # some agents sit out
         assert any('"#x,y"' in prompt for prompt in sent.values())
         for (agent, round_index), prompt in sent.items():
-            before = Transcript(transcript.header, [r for r in transcript.records if r.round < round_index])
-            assert prompt == build_prompt(agent, round_index, before, narrative)
+            before = [r for r in transcript.records if r.round < round_index]
+            rows = [(r.round, r.hashtag_a.raw, r.hashtag_b.raw) for r in before if r.agent_a == agent]
+            rows += [(r.round, r.hashtag_b.raw, r.hashtag_a.raw) for r in before if r.agent_b == agent]
+            expected = prompt_reference(round_index, sorted(rows), narrative.full_text)
+            assert prompt == expected
+            assert build_prompt(agent, round_index, Transcript(transcript.header, before), narrative) == expected
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_mock_run_renders_no_prompt(self, monkeypatch, parallelism):
+        config = make_mock_config(n=10, rounds=8, seed=6, lexicon=('#say "hi", world', "#x,y", "#plain"),
+                                  parallelism=parallelism)
+        expected = run_simulation(config).records
+
+        def refuse(*args):
+            raise AssertionError("a mock run rendered a prompt")
+
+        for owner, name in ((agents, "render_prompt"), (engine, "render_prompt"), (agents, "render_interaction_row")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert run_simulation(config).records == expected
+
+    def test_mock_run_never_imports_requests(self):
+        # requests loads with the first remote backend, never at import time
+        code = (
+            "import sys\n"
+            "import hashnet\n"
+            "agents = tuple(hashnet.AgentSpec(i, 'mock', {'strategy': 'imitate', 'lexicon': ['#a', '#b']})"
+            " for i in range(6))\n"
+            "hashnet.run_simulation(hashnet.RunConfig(hashnet.TopologySpec(n=6, k=2, p=0.1), 3, agents,"
+            " 'bundled:fukushima', parallelism=2))\n"
+            "assert 'requests' not in sys.modules, 'requests was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+
+    def test_remote_run_sends_the_oracle_prompt(self, stub_server):
+        # each agent names its own model, so the stub's log says who asked;
+        # at parallelism 1 an agent's requests arrive in round order
+        n, rounds = 4, 4
+        stub_server.script.extend(['#a,"b', "#Storm", "#storm!", "#x"] * 2)
+        config = RunConfig(
+            topology=TopologySpec(n=n, k=2, p=0.0),
+            rounds=rounds,
+            agents=tuple(
+                AgentSpec(i, "remote", {"base_url": stub_server.base_url, "model": f"agent-{i}", "backoff": 0.0})
+                for i in range(n)
+            ),
+            narrative_path=str(FIXTURES / "synthetic_narrative.json"),
+        )
+        transcript = run_simulation(config, network=Network.complete(n))
+        event_text = load_narrative(config.narrative_path).full_text
+        assert any('"#a,""b"' in payload["messages"][0]["content"] for _, payload, _ in stub_server.requests)
+        for agent in range(n):
+            sent = [payload["messages"] for _, payload, _ in stub_server.requests
+                    if payload["model"] == f"agent-{agent}"]
+            rows = []
+            for record in transcript.records:
+                if agent in (record.agent_a, record.agent_b):
+                    prompt = prompt_reference(record.round, rows, event_text)
+                    assert sent.pop(0) == [{"role": "user", "content": prompt}]
+                    own, other = record.sides()[0 if agent == record.agent_a else 1][2:]
+                    rows.append((record.round, own, other))
+            assert sent == []
 
     @given(
         st.lists(st.sampled_from(['#a,"b', "#Fukushima—Daiichi", "#福島", '#say "hi", world']),
@@ -560,8 +634,10 @@ class TestTranscriptIO:
          "line 2: points_a 1 contradicts match False"),
         (2, lambda doc: {**doc, "match": True, "points_a": 1, "points_b": 0},
          "line 3: points_b 0 contradicts match True"),
+        (0, lambda doc: {**doc, "network_edges": [[0]]}, r"line 1: network_edges must be a list of \[a, b\] pairs"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
-            "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match"])
+            "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
+            "header-edge-not-a-pair"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
@@ -569,6 +645,21 @@ class TestTranscriptIO:
         lines[line] = json.dumps(edit(json.loads(lines[line])))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(TranscriptError, match=message) as caught:
+            read_transcript(path)
+        assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("pair", [(0, 999), (0, 3)], ids=["foreign-agent", "non-edge"])
+    def test_pair_outside_the_header_network_rejected(self, tmp_path, pair):
+        # a ring of six where each agent neighbors only the next and previous
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=6, rounds=2, k=2, p=0.0, seed=9), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert list(pair) not in json.loads(lines[0])["network_edges"]
+        doc = json.loads(lines[1])
+        doc["agent_a"], doc["agent_b"] = pair
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TranscriptError, match=rf"line 2: pair \(0, {pair[1]}\) is not an edge") as caught:
             read_transcript(path)
         assert str(path) in str(caught.value)
 
