@@ -6,11 +6,11 @@ replays are pure functions of (request, rng state); the remote backend
 never mutates the prompt and stores the returned text byte-exact.
 
 The social context an agent sees lives inside its prompt as a small CSV
-block (the interaction table). The render/parse helpers here define that
-wire format, and ``render_prompt`` the whole prompt around it. A request
-carries the table's rows as values and renders its prompt from them only
-when a backend reads it: the remote backend does, once per call; an
-imitate mock reads the rows, and the other backends read neither.
+block (the interaction table), written by one csv.writer. The helpers here
+define that wire format, and ``render_prompt`` the whole prompt around it.
+A request carries the table's rows as values and renders its prompt from
+them only when a backend reads it: the remote backend does, once per call;
+an imitate mock reads the rows, and the other backends read neither.
 """
 
 from __future__ import annotations
@@ -129,24 +129,12 @@ class Backend(Protocol):
         ...
 
 
-def render_interaction_row(round_index: int, own: str, neighbor: str) -> str:
-    """One CSV row of the interaction table, without its line terminator.
-
-    csv.writer writes a nonempty field with no comma, quote or line break
-    as is, so such fields are joined directly; any other row goes through
-    csv.writer."""
-    both = own + neighbor
-    if own and neighbor and "," not in both and '"' not in both and "\r" not in both and "\n" not in both:
-        return f"{round_index},{own},{neighbor}"
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
-    return buf.getvalue()[:-1]
-
-
 def render_interaction_table(rows: Sequence[tuple[int, str, str]]) -> str:
-    """CSV block shown to an agent: one row per prior round it was paired,
-    raw hashtags as the partner saw them."""
-    return "\n".join([INTERACTION_TABLE_HEADER, *(render_interaction_row(*row) for row in rows)])
+    """CSV block shown to an agent: the header, then one row per prior round
+    it was paired, raw hashtags as the partner saw them, all by one csv.writer."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([INTERACTION_TABLE_HEADER.split(","), *rows])
+    return buf.getvalue()[:-1]
 
 
 def render_prompt(round_index: int, rows: Sequence[tuple[int, str, str]], event_text: str) -> str:

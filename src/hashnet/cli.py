@@ -415,6 +415,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not transcript_path.is_file():
         raise _IOFailure(f"transcript not found: {transcript_path}")
     transcript = read_transcript(transcript_path)
+    recorded, digest = transcript.header.get("config"), config_digest(config_snapshot(loaded.run))
+    if isinstance(recorded, dict) and config_digest(recorded) != digest:
+        print(f"warning: {transcript_path} was run with config digest {config_digest(recorded)}, but {args.config} "
+              f"has digest {digest}; metadata.json records the latter", file=sys.stderr)
 
     if args.out:
         out_dir = Path(args.out)

@@ -1,6 +1,7 @@
-"""Round orchestration: build each agent's request from its history,
-dispatch to backends, parse and normalize responses, score pairs, and
-write the transcript.
+"""Round orchestration: build each agent's request from its history (one
+fold over the committed records, shared with ``build_prompt``), dispatch to
+backends, parse and normalize responses, score pairs, and write the
+transcript through the one line writer ``write_transcript`` also uses.
 
 Rounds are hard barriers. Within a round every backend call may run
 concurrently (up to the configured cap); parsing, scoring, and transcript
@@ -19,7 +20,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import rng as rng_streams
 from .agents import (
@@ -41,6 +42,7 @@ WORD_CAP = 5
 PARSE_CACHE_SIZE = 4096
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
+History = tuple[tuple[int, str, str], ...]  # an agent's (round, own raw hashtag, neighbor raw hashtag) rows
 
 
 def normalize_hashtag(text: str) -> str:
@@ -145,8 +147,8 @@ def build_prompt(
     was paired."""
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
-    rows = transcript.agent_history(agent_id, before_round=round_index)
-    return render_prompt(round_index, rows, narrative.full_text)
+    histories = extend_histories({}, (record for record in transcript.records if record.round < round_index))
+    return render_prompt(round_index, histories.get(agent_id, ()), narrative.full_text)
 
 
 # --- records and transcripts ------------------------------------------------
@@ -228,15 +230,6 @@ class Transcript:
     def records_for_round(self, round_index: int) -> list[InteractionRecord]:
         return [r for r in self.records if r.round == round_index]
 
-    def agent_history(self, agent_id: int, before_round: int | None = None) -> list[tuple[int, str, str]]:
-        """(round, own_guess, neighbor_guess) rows for one agent, raw
-        hashtags, in round order; rounds the agent sat out contribute no row."""
-        return [
-            (record.round, own, other)
-            for record in self.records if before_round is None or record.round < before_round
-            for agent, _, own, other in record.sides() if agent == agent_id
-        ]
-
     def match_rate(self) -> float:
         if not self.records:
             return 0.0
@@ -246,14 +239,20 @@ class Transcript:
         return sum(int(r.fallback_a) + int(r.fallback_b) for r in self.records)
 
 
+def extend_histories(histories: dict[int, History], records: Iterable[InteractionRecord]) -> dict[int, History]:
+    """Append each record's sides to their agents' rows and return ``histories``;
+    the fold of the records before round r is every history at the start of r."""
+    for record in records:
+        for agent, _, own, other in record.sides():
+            histories[agent] = histories.get(agent, ()) + ((record.round, own, other),)
+    return histories
+
+
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
     """Write a complete transcript as JSON Lines (header first, UTF-8)."""
+    abort = [] if transcript.abort is None else [transcript.abort]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_line(handle, transcript.header)
-        for record in transcript.records:
-            _write_line(handle, record.to_dict())
-        if transcript.abort is not None:
-            _write_line(handle, transcript.abort)
+        _write_lines(handle, [transcript.header, *(record.to_dict() for record in transcript.records), *abort])
 
 
 def read_transcript(path: str | Path) -> Transcript:
@@ -261,10 +260,12 @@ def read_transcript(path: str | Path) -> Transcript:
     are JSON objects with the record fields, that ``round``, ``agent_a`` and
     ``agent_b`` are integers, that each pair is an edge of the header's
     ``network_edges``, that each side's points are 1 on a match and 0
-    otherwise, that rounds run contiguously from 1 and that (round, agent_a)
-    strictly increases from record to record."""
+    otherwise, that ``match`` agrees with the header config's ``match_on``
+    (normalized by default), that rounds run contiguously from 1 and that
+    (round, agent_a) strictly increases from record to record."""
     header: dict | None = None
     edges: set[tuple[int, int]] = set()
+    match_on = "normalized"
     records: list[InteractionRecord] = []
     abort: dict | None = None
     # A record either opens the next round or follows the last agent_a.
@@ -285,6 +286,10 @@ def read_transcript(path: str | Path) -> Transcript:
                     edges = {pair for a, b in header.get("network_edges", []) for pair in ((a, b), (b, a))}
                 except (TypeError, ValueError) as err:
                     raise TranscriptError(f"{path}: line 1: network_edges must be a list of [a, b] pairs") from err
+                if isinstance(header.get("config"), dict):
+                    match_on = header["config"].get("match_on", match_on)
+                if match_on not in ("normalized", "raw"):
+                    raise TranscriptError(f"{path}: line 1: match_on must be 'normalized' or 'raw', got {match_on!r}")
             elif isinstance(doc, dict) and doc.get("abort"):
                 abort = doc
             else:
@@ -305,6 +310,9 @@ def read_transcript(path: str | Path) -> Transcript:
                         raise TranscriptError(
                             f"{path}: line {i + 1}: {key} {doc[key]!r} contradicts match {doc['match']!r}"
                         )
+                if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
+                    raise TranscriptError(f"{path}: line {i + 1}: match {doc['match']!r} contradicts the {match_on} "
+                                          f"forms of {doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
                 if not (record.round == last_round + 1 or (record.round == last_round and record.agent_a > last_agent)):
                     raise TranscriptError(
                         f"{path}: line {i + 1}: round {record.round!r}, agent_a {record.agent_a!r} is out of "
@@ -324,6 +332,14 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 def _write_line(handle: IO[str], obj: dict) -> None:
     handle.write(_encode(obj))
     handle.write("\n")
+
+
+def _write_lines(handle: IO[str] | None, docs: Iterable[dict]) -> None:
+    """Write each document as a line, then flush so a crash keeps whole batches; no-op without a handle."""
+    if handle is not None:
+        for doc in docs:
+            _write_line(handle, doc)
+        handle.flush()
 
 
 # --- run configuration and orchestration -------------------------------------
@@ -453,27 +469,19 @@ def run_simulation(
     }
 
     transcript = Transcript(header=header, records=[])
-    # Each agent's (round, own raw hashtag, neighbor raw hashtag) rows so
-    # far, one appended when its round commits; the last row holds the
-    # agent's last guess. Requests carry these tuples and render prompts
-    # from them, so pool threads read an immutable snapshot.
-    histories: dict[int, tuple[tuple[int, str, str], ...]] = {i: () for i in range(network.n)}
+    # The fold of the committed records. Requests carry these tuples and
+    # render prompts from them, so pool threads read an immutable snapshot.
+    histories: dict[int, History] = {i: () for i in range(network.n)}
 
     with ExitStack() as stack:
         handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
         pool = stack.enter_context(ThreadPoolExecutor(config.parallelism)) if config.parallelism > 1 else None
 
-        def emit(*docs: dict) -> None:
-            if handle is not None:
-                for doc in docs:
-                    _write_line(handle, doc)
-                handle.flush()
-
         def stop(round_index: int, reason: str) -> None:
             transcript.abort = {"abort": True, "round": round_index, "reason": reason}
-            emit(transcript.abort)
+            _write_lines(handle, [transcript.abort])
 
-        emit(header)
+        _write_lines(handle, [header])
         for round_index in range(1, config.rounds + 1):
             pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
             participants = [agent for pair in pairing.pairs for agent in pair]
@@ -504,7 +512,7 @@ def run_simulation(
                 raw_b, tag_b, fb_b = _finalize(texts[b], histories[b])
                 match = getattr(tag_a, config.match_on) == getattr(tag_b, config.match_on)
                 points = 1 if match else 0
-                record = InteractionRecord(
+                round_records.append(InteractionRecord(
                     round=round_index,
                     agent_a=a,
                     agent_b=b,
@@ -517,12 +525,10 @@ def run_simulation(
                     points_b=points,
                     fallback_a=fb_a,
                     fallback_b=fb_b,
-                )
-                round_records.append(record)
-                for agent, _, own, other in record.sides():
-                    histories[agent] += ((round_index, own, other),)
+                ))
+            extend_histories(histories, round_records)
             transcript.records += round_records
-            emit(*(record.to_dict() for record in round_records))
+            _write_lines(handle, (record.to_dict() for record in round_records))
 
             unavailable_pairs = sum(any(texts[agent] is None for agent in pair) for pair in pairing.pairs)
             if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):

@@ -30,7 +30,6 @@ from hashnet.agents import (
     INTERACTION_TABLE_HEADER,
     is_retryable,
     parse_interaction_table,
-    render_interaction_row,
     render_interaction_table,
 )
 
@@ -56,13 +55,14 @@ _GUESS = st.lists(st.text(_WORD_CHAR, min_size=1, max_size=6), min_size=1, max_s
 
 class TestInteractionTable:
     @given(st.integers(-10**6, 10**6), _CSV_TEXT, _CSV_TEXT)
-    @example(3, "#Fukushima—Daiichi", "#福島")  # joined directly
-    @example(3, '#a,"b', "#福島")  # through csv.writer
+    @example(3, "#Fukushima—Daiichi", "#福島")  # written as is
+    @example(3, '#a,"b', "#福島")  # quoted
     @settings(max_examples=300)
     def test_row_equals_a_fresh_csv_rendering(self, round_index, own, neighbor):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
-        assert render_interaction_row(round_index, own, neighbor) == buf.getvalue()[:-1]
+        row = buf.getvalue()[:-1]
+        assert render_interaction_table([(round_index, own, neighbor)]) == f"{INTERACTION_TABLE_HEADER}\n{row}"
 
     def test_round_trip(self):
         rows = [(1, "#a", "#b"), (3, "#c d", "#e")]
@@ -87,9 +87,10 @@ class TestInteractionTable:
 
     def test_table_is_header_plus_rendered_rows(self):
         rows = [(1, '#say "hi", world', "#x,y"), (2, "#a\nb", ""), (3, "#c\rd", "#e")]
-        expected = "\n".join([INTERACTION_TABLE_HEADER] + [render_interaction_row(*row) for row in rows])
-        assert render_interaction_table(rows) == expected
-        assert render_interaction_row(2, "#a\nb", "") == '2,"#a\nb",'
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([INTERACTION_TABLE_HEADER.split(","), *rows])
+        assert render_interaction_table(rows) == buf.getvalue()[:-1]
+        assert render_interaction_table(rows[1:2]) == f'{INTERACTION_TABLE_HEADER}\n2,"#a\nb",'
         assert render_interaction_table([]) == INTERACTION_TABLE_HEADER
 
     def test_header_must_be_a_whole_line(self):

@@ -8,6 +8,7 @@ import pytest
 
 from hashnet import AgentSpec, read_transcript, run_simulation
 from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main, validate_config
+from hashnet.engine import config_digest
 
 from conftest import FIXTURES, REPO
 
@@ -412,6 +413,25 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"line {line}: {key} must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("seed", [None, "8"])
+    def test_stale_config_warns(self, demo_config_path, tmp_path, capsys, seed):
+        # the transcript of a seed-8 run analysed with the seed-7 demo config
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_dir),
+                       *(("--seed", seed) if seed else ())) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("metrics", str(run_dir / "transcript.jsonl"), "--config", str(demo_config_path),
+                       "--out", str(tmp_path / "m"))
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        digest = json.loads((tmp_path / "m" / "metadata.json").read_text())["config_digest"]
+        if seed is None:
+            assert err == ""
+        else:
+            recorded = config_digest(read_transcript(run_dir / "transcript.jsonl").header["config"])
+            assert err.startswith("warning: ") and err.count("\n") == 1
+            assert recorded in err and digest in err and recorded != digest
 
     def test_missing_transcript_is_io_error(self, tmp_path):
         code = run_cli("metrics", str(tmp_path / "nope.jsonl"),

@@ -8,7 +8,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hashnet import (
@@ -33,7 +33,7 @@ from hashnet import (
 from hashnet import agents, engine
 from hashnet import rng as rng_streams
 from hashnet.agents import SCORING_PARAGRAPH, parse_interaction_table
-from hashnet.engine import config_digest, config_snapshot
+from hashnet.engine import config_digest, config_snapshot, extend_histories
 
 from conftest import FIXTURES, REPO, make_mock_config
 from oracles import prompt_reference
@@ -255,6 +255,20 @@ class TestRunSimulation:
         replayed = run_simulation(replay_config)
         assert replayed.records == original.records
 
+    @pytest.mark.xfail(strict=True, reason="the transcript does not record which sides had no backend, so a replay "
+                       "reads the substituted guesses as answers (ROADMAP item 1, unavailability in the file)")
+    def test_replay_reproduces_fallbacks_of_an_unavailable_backend(self, tmp_path):
+        # one remote agent on a closed port among 19 imitate mocks
+        remote = {"base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": 1, "backoff": 0}
+        config = make_mock_config(n=20, rounds=6, seed=7)
+        config = replace(config, agents=(AgentSpec(0, "remote", remote), *config.agents[1:]))
+        source = tmp_path / "source.jsonl"
+        original = run_simulation(config, out_path=source)
+        assert original.fallback_count() > 0 and original.abort is None
+        replay_config = replace(config, agents=tuple(AgentSpec(i, "replay", {"transcript": str(source)})
+                                                     for i in range(20)))
+        assert run_simulation(replay_config).records == original.records
+
     def test_imitate_agents_converge_on_complete_graph(self):
         lexicon = ["#one", "#two", "#three", "#four", "#five"]
         config = RunConfig(
@@ -290,37 +304,52 @@ class TestRunSimulation:
         literal = run_simulation(config_for("raw"), network=edge)
         assert not literal.records[0].match
 
-    def test_engine_sends_the_prompts_build_prompt_renders(self, monkeypatch):
-        # the engine's requests and build_prompt share one renderer, so both
-        # are checked against the independent oracle over rows taken straight
-        # from the records
+    @given(
+        st.lists(st.text(st.sampled_from('#ab,"\r\n '), min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
+        st.integers(3, 10),
+        st.sampled_from([2, 4]),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.integers(1, 8),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 4]),
+    )
+    @example(lexicon=['#say "hi", world', "#x,y", "#plain"], n=10, k=2, p=0.3, rounds=15, seed=4, parallelism=1)
+    @settings(max_examples=25, deadline=None)
+    def test_engine_sends_the_prompts_build_prompt_renders(self, lexicon, n, k, p, rounds, seed, parallelism):
+        # every request carries the fold of the records before its round,
+        # and the prompt it renders and build_prompt's both equal the
+        # independent oracle over rows taken straight from the records
+        assume(k < n)
         sent = {}
 
-        class Spy:
+        class Recording:
             def __init__(self, inner):
                 self.inner = inner
 
             def respond(self, req, rng):
-                sent[(req.agent_id, req.round)] = req.prompt
+                sent[(req.agent_id, req.round)] = req
                 return self.inner.respond(req, rng)
 
         build = engine.build_backends
-        monkeypatch.setattr(engine, "build_backends", lambda specs: {i: Spy(b) for i, b in build(specs).items()})
-        lexicon = ('#say "hi", world', "#x,y", "#plain")
-        config = make_mock_config(n=10, rounds=15, k=2, p=0.3, seed=4, lexicon=lexicon)
-        transcript = run_simulation(config)
+        recording = lambda specs: {i: Recording(b) for i, b in build(specs).items()}  # noqa: E731
+        config = make_mock_config(n=n, rounds=rounds, k=k, p=p, seed=seed, lexicon=tuple(lexicon),
+                                  parallelism=parallelism)
+        with mock.patch.object(engine, "build_backends", recording):
+            transcript = run_simulation(config)
         narrative = load_narrative(config.narrative_path)
 
         assert len(sent) == 2 * len(transcript.records)
-        assert len({agent for agent, round_index in sent if round_index == 15}) < 10  # some agents sit out
-        assert any('"#x,y"' in prompt for prompt in sent.values())
-        for (agent, round_index), prompt in sent.items():
+        for (agent, round_index), req in sent.items():
             before = [r for r in transcript.records if r.round < round_index]
             rows = [(r.round, r.hashtag_a.raw, r.hashtag_b.raw) for r in before if r.agent_a == agent]
             rows += [(r.round, r.hashtag_b.raw, r.hashtag_a.raw) for r in before if r.agent_b == agent]
+            assert req.history == extend_histories({}, before).get(agent, ()) == tuple(sorted(rows))
             expected = prompt_reference(round_index, sorted(rows), narrative.full_text)
-            assert prompt == expected
+            assert req.prompt == expected
             assert build_prompt(agent, round_index, Transcript(transcript.header, before), narrative) == expected
+        if rounds == 15:  # the pinned example: some agents sit out, and some cells are quoted
+            assert len({agent for agent, round_index in sent if round_index == 15}) < 10
+            assert any('"#x,y"' in req.prompt for req in sent.values())
 
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_mock_run_renders_no_prompt(self, monkeypatch, parallelism):
@@ -331,7 +360,7 @@ class TestRunSimulation:
         def refuse(*args):
             raise AssertionError("a mock run rendered a prompt")
 
-        for owner, name in ((agents, "render_prompt"), (engine, "render_prompt"), (agents, "render_interaction_row")):
+        for owner, name in ((agents, "render_prompt"), (engine, "render_prompt"), (agents, "render_interaction_table")):
             monkeypatch.setattr(owner, name, refuse)
         assert run_simulation(config).records == expected
 
@@ -425,8 +454,8 @@ class TestRunSimulation:
         transcript = run_simulation(config, network=network)
         for round_index in range(1, 5):
             assert len(transcript.records_for_round(round_index)) == 1
-        histories = [transcript.agent_history(i) for i in range(3)]
-        assert sum(len(h) for h in histories) == 8  # 4 rounds x 2 participants
+        histories = extend_histories({}, transcript.records)
+        assert sum(len(h) for h in histories.values()) == 8  # 4 rounds x 2 participants
 
 
 class TestAgentRng:
@@ -635,9 +664,16 @@ class TestTranscriptIO:
         (2, lambda doc: {**doc, "match": True, "points_a": 1, "points_b": 0},
          "line 3: points_b 0 contradicts match True"),
         (0, lambda doc: {**doc, "network_edges": [[0]]}, r"line 1: network_edges must be a list of \[a, b\] pairs"),
+        (1, lambda doc: {**doc, "hashtag_b": doc["hashtag_a"], "match": False, "points_a": 0, "points_b": 0},
+         "line 2: match False contradicts the normalized forms of"),
+        (2, lambda doc: {**doc, "hashtag_b": {"raw": "#zz", "normalized": "zz"}, "match": True, "points_a": 1,
+                         "points_b": 1}, "line 3: match True contradicts the normalized forms of"),
+        (0, lambda doc: {**doc, "config": {**doc["config"], "match_on": "fuzzy"}},
+         "line 1: match_on must be 'normalized' or 'raw', got 'fuzzy'"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
-            "header-edge-not-a-pair"])
+            "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
+            "header-unknown-match_on"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
@@ -662,6 +698,35 @@ class TestTranscriptIO:
         with pytest.raises(TranscriptError, match=rf"line 2: pair \(0, {pair[1]}\) is not an edge") as caught:
             read_transcript(path)
         assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("run_on,header_edit,message", [
+        ("normalized", lambda config: config, None),
+        ("raw", lambda config: config, None),
+        ("normalized", lambda config: {**config, "match_on": "raw"}, "match True contradicts the raw forms of"),
+        ("raw", lambda config: {**config, "match_on": "normalized"}, "match False contradicts the normalized forms of"),
+        ("raw", lambda config: None, "match False contradicts the normalized forms of"),
+    ], ids=["normalized", "raw", "read-as-raw", "read-as-normalized", "no-config-reads-as-normalized"])
+    def test_match_is_checked_under_the_header_match_on(self, tmp_path, run_on, header_edit, message):
+        # '#X!' and '#x' match when normalized and differ as raw text
+        path = tmp_path / "t.jsonl"
+        config = RunConfig(
+            topology=TopologySpec(n=2, k=2, p=0.0),
+            rounds=1,
+            agents=(AgentSpec(0, "mock", {"strategy": "constant:#X!"}),
+                    AgentSpec(1, "mock", {"strategy": "constant:#x"})),
+            narrative_path=str(FIXTURES / "synthetic_narrative.json"),
+            match_on=run_on,
+        )
+        run_simulation(config, out_path=path, network=Network.from_edges(2, [(0, 1)]))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        lines[0] = json.dumps({**header, "config": header_edit(header["config"])})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if message is None:
+            assert read_transcript(path).records[0].match == (run_on == "normalized")
+        else:
+            with pytest.raises(TranscriptError, match=f"line 2: {message}"):
+                read_transcript(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
