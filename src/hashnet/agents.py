@@ -16,7 +16,6 @@ an imitate mock reads the rows, and the other backends read neither.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import os
 import threading
@@ -129,12 +128,22 @@ class Backend(Protocol):
         ...
 
 
+class _Lines(list):
+    """A csv.writer target that keeps each written row as its own string."""
+
+    write = list.append
+
+
 def render_interaction_table(rows: Sequence[tuple[int, str, str]]) -> str:
     """CSV block shown to an agent: the header, then one row per prior round
-    it was paired, raw hashtags as the partner saw them, all by one csv.writer."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([INTERACTION_TABLE_HEADER.split(","), *rows])
-    return buf.getvalue()[:-1]
+    it was paired, raw hashtags as the partner saw them, all by one csv.writer.
+
+    A cell holding a carriage return or a line feed is quoted: a CRLF row
+    terminator makes csv quote both on every Python version (3.13 does so
+    for any terminator), and the rows are then joined with LF."""
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\r\n").writerows([INTERACTION_TABLE_HEADER.split(","), *rows])
+    return "\n".join([line[:-2] for line in lines])
 
 
 def render_prompt(round_index: int, rows: Sequence[tuple[int, str, str]], event_text: str) -> str:

@@ -2,6 +2,10 @@
 fold over the committed records, shared with ``build_prompt``), dispatch to
 backends, parse and normalize responses, score pairs, and write the
 transcript through the one line writer ``write_transcript`` also uses.
+``read_transcript`` reads a transcript back and checks it in one pass; it
+checks each distinct (raw, normalized) hashtag pair against
+``normalize_hashtag`` once, and every record holding that pair shares one
+``Hashtag``. Records and hashtags are immutable named tuples.
 
 Rounds are hard barriers. Within a round every backend call may run
 concurrently (up to the configured cap); parsing, scoring, and transcript
@@ -20,7 +24,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import rng as rng_streams
 from .agents import (
@@ -51,8 +55,7 @@ def normalize_hashtag(text: str) -> str:
     return "".join(filter(str.isalnum, text.lower()))
 
 
-@dataclass(frozen=True)
-class Hashtag:
+class Hashtag(NamedTuple):
     """A guess as extracted from a response, plus its comparison form."""
 
     raw: str
@@ -154,8 +157,7 @@ def build_prompt(
 # --- records and transcripts ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
     """Outcome of one pair in one round."""
 
     round: int
@@ -180,38 +182,51 @@ class InteractionRecord:
 
     def to_dict(self) -> dict:
         """The record's JSON object, keys in field order."""
-        return {**vars(self), "hashtag_a": dict(vars(self.hashtag_a)), "hashtag_b": dict(vars(self.hashtag_b))}
+        doc = self._asdict()
+        doc["hashtag_a"], doc["hashtag_b"] = self.hashtag_a._asdict(), self.hashtag_b._asdict()
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
         """The record a JSON value describes; TranscriptError when it, or one
-        of its hashtags, is not an object or lacks a field."""
-        if not isinstance(doc, dict):
-            raise TranscriptError(f"record must be a JSON object, got {doc!r}")
-        for key in ("hashtag_a", "hashtag_b"):
-            tag = doc.get(key, {})
-            if not isinstance(tag, dict):
-                raise TranscriptError(f"{key} must be a JSON object, got {tag!r}")
-            for name in ("raw", "normalized"):
-                if key in doc and name not in tag:
-                    raise TranscriptError(f"{key} missing field {name!r}")
-        try:
-            return cls(
-                round=doc["round"],
-                agent_a=doc["agent_a"],
-                agent_b=doc["agent_b"],
-                raw_a=doc["raw_a"],
-                raw_b=doc["raw_b"],
-                hashtag_a=Hashtag(doc["hashtag_a"]["raw"], doc["hashtag_a"]["normalized"]),
-                hashtag_b=Hashtag(doc["hashtag_b"]["raw"], doc["hashtag_b"]["normalized"]),
-                match=doc["match"],
-                points_a=doc["points_a"],
-                points_b=doc["points_b"],
-                fallback_a=doc["fallback_a"],
-                fallback_b=doc["fallback_b"],
-            )
-        except KeyError as err:
-            raise TranscriptError(f"record missing field {err}") from err
+        of its hashtags, is not an object or lacks a field, or when a
+        hashtag's ``normalized`` is not ``normalize_hashtag`` of its ``raw``."""
+        return _record(doc, {})
+
+
+def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecord:
+    """``InteractionRecord.from_dict`` that takes each hashtag from ``tags``,
+    the one ``Hashtag`` per (raw, normalized) pair checked so far."""
+    if not isinstance(doc, dict):
+        raise TranscriptError(f"record must be a JSON object, got {doc!r}")
+    try:
+        tag_a, tag_b = _hashtag(doc, "hashtag_a", tags), _hashtag(doc, "hashtag_b", tags)
+        return InteractionRecord(
+            doc["round"], doc["agent_a"], doc["agent_b"], doc["raw_a"], doc["raw_b"], tag_a, tag_b,
+            doc["match"], doc["points_a"], doc["points_b"], doc["fallback_a"], doc["fallback_b"],
+        )
+    except KeyError as err:
+        raise TranscriptError(f"record missing field {err}") from err
+
+
+def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hashtag:
+    """The shared ``Hashtag`` of ``doc[key]``; a pair not yet in ``tags`` is
+    checked, then added."""
+    tag = doc[key]
+    try:
+        return tags[tag["raw"], tag["normalized"]]
+    except (KeyError, TypeError):  # a new pair, or a malformed one
+        pass
+    if not isinstance(tag, dict):
+        raise TranscriptError(f"{key} must be a JSON object, got {tag!r}")
+    for name in ("raw", "normalized"):
+        if name not in tag:
+            raise TranscriptError(f"{key} missing field {name!r}")
+    raw, normalized = tag["raw"], tag["normalized"]
+    if not isinstance(raw, str) or normalized != normalize_hashtag(raw):
+        raise TranscriptError(f"{key} normalized {normalized!r} is not the normalized form of raw {raw!r}")
+    tags[raw, normalized] = shared = Hashtag(raw, normalized)
+    return shared
 
 
 @dataclass
@@ -262,8 +277,13 @@ def read_transcript(path: str | Path) -> Transcript:
     ``network_edges``, that each side's points are 1 on a match and 0
     otherwise, that ``match`` agrees with the header config's ``match_on``
     (normalized by default), that rounds run contiguously from 1 and that
-    (round, agent_a) strictly increases from record to record."""
+    (round, agent_a) strictly increases from record to record.
+
+    Each hashtag's ``normalized`` must be ``normalize_hashtag`` of its
+    ``raw``. The check runs once per distinct (raw, normalized) pair; every
+    record holding that pair then shares one ``Hashtag``."""
     header: dict | None = None
+    tags: dict[tuple[str, str], Hashtag] = {}
     edges: set[tuple[int, int]] = set()
     match_on = "normalized"
     records: list[InteractionRecord] = []
@@ -272,10 +292,10 @@ def read_transcript(path: str | Path) -> Transcript:
     last_round, last_agent = 0, float("inf")
     with open(path, encoding="utf-8") as handle:
         for i, line in enumerate(handle):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                doc = json.loads(line)
+                doc = _decode(line)
             except json.JSONDecodeError as err:
                 raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
             if i == 0:
@@ -294,7 +314,7 @@ def read_transcript(path: str | Path) -> Transcript:
                 abort = doc
             else:
                 try:
-                    record = InteractionRecord.from_dict(doc)
+                    record = _record(doc, tags)
                 except TranscriptError as err:
                     raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
                 for key in ("round", "agent_a", "agent_b"):
@@ -327,6 +347,20 @@ def read_transcript(path: str | Path) -> Transcript:
 
 # One encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False).
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str):
+    """``json.loads(line)`` through one shared decoder. A line that is not one
+    JSON value from its first character on (leading whitespace, extra data,
+    invalid JSON) goes to ``json.loads`` itself, which reads or rejects it."""
+    try:
+        doc, end = _raw_decode(line)
+        if end == len(line) or line[end:].isspace():
+            return doc
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
 
 
 def _write_line(handle: IO[str], obj: dict) -> None:

@@ -4,6 +4,9 @@ embedding-based narrative alignment.
 
 Everything here is a pure read-only function of a transcript; computing
 from a file read back off disk gives exactly the in-memory results.
+Entropy, dominant share and ``hashtag``-tokenized perplexity read each
+hashtag's normalized form, which the reader checks against its raw text;
+``words`` perplexity tokenizes the raw text.
 """
 
 from __future__ import annotations
@@ -229,7 +232,10 @@ def perplexity(model: UnigramModel, responses: Sequence[str]) -> float:
     tokens under ``model``; unseen tokens take the OOV probability."""
     if not responses:
         raise MetricError("perplexity of an empty response list is undefined")
-    tokens = tokenize(responses, model.tokenization)
+    return _perplexity(model, tokenize(responses, model.tokenization))
+
+
+def _perplexity(model: UnigramModel, tokens: Sequence[str]) -> float:
     if not tokens:
         raise MetricError("responses contain no usable tokens")
     log_total = sum(math.log(model.probability(token)) for token in tokens)
@@ -395,7 +401,7 @@ def metric_series(
         try:
             if metric == "perplexity":
                 assert model is not None
-                value = perplexity(model, _responses(records, round_index, include_fallbacks, "raw"))
+                value = _round_perplexity(model, records, round_index, include_fallbacks)
             else:
                 responses = _responses(records, round_index, include_fallbacks, "normalized")
                 dist = _distribution(responses, round_index, dedup)
@@ -404,6 +410,21 @@ def metric_series(
             raise MetricError(f"round {round_index}: {err}") from err
         values.append((round_index, value))
     return MetricSeries(name=metric, values=tuple(values))
+
+
+def _round_perplexity(
+    model: UnigramModel, records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool
+) -> float:
+    """``perplexity`` of one round's raw hashtags. In ``hashtag``
+    tokenization its tokens are the nonempty normalized forms, which the
+    reader and the engine keep equal to ``normalize_hashtag(raw)``, so no
+    hashtag is normalized again."""
+    if model.tokenization != "hashtag":
+        return perplexity(model, _responses(records, round_index, include_fallbacks, "raw"))
+    forms = _responses(records, round_index, include_fallbacks, "normalized")
+    if not forms:
+        raise MetricError("perplexity of an empty response list is undefined")
+    return _perplexity(model, [form for form in forms if form])
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -162,6 +162,15 @@ def tally_all(records: list[dict], *, include_fallbacks: bool = True) -> Counter
     return counts
 
 
+def csv_line(row) -> str:
+    """One row as csv.writer writes it, without its line end. A CRLF line end
+    makes csv quote a cell holding a carriage return or a line feed on every
+    Python version, as 3.13 does for any line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)
+    return buf.getvalue().removesuffix("\r\n")
+
+
 def prompt_reference(round_index: int, rows, event_text: str) -> str:
     """The prompt an agent sees at the start of ``round_index``, written out
     from the paper's template: the scoring rules, then from round 2 on its
@@ -179,14 +188,10 @@ def prompt_reference(round_index: int, rows, event_text: str) -> str:
     if round_index == 1:
         situation = ["You are in round 1 of the experiment.", "Based on the event provided in round 1:"]
     else:
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(["round", "your_guess", "neighbor_guess"])
-        writer.writerows(rows)
         situation = [
             f"You are in round {round_index} of the experiment. Your guesses and your neighbor's guesses have "
             "been as follows, represented in the CSV below:",
-            table.getvalue().removesuffix("\n"),
+            "\n".join(csv_line(row) for row in [("round", "your_guess", "neighbor_guess"), *rows]),
             "Based on this information and the event provided in round 1:",
         ]
     return "\n\n".join([scoring, *situation, event_text, closing])

@@ -33,7 +33,7 @@ from hashnet.agents import (
     render_interaction_table,
 )
 
-from oracles import prompt_reference
+from oracles import csv_line, prompt_reference
 
 
 def rng(seed=0):
@@ -59,9 +59,7 @@ class TestInteractionTable:
     @example(3, '#a,"b', "#福島")  # quoted
     @settings(max_examples=300)
     def test_row_equals_a_fresh_csv_rendering(self, round_index, own, neighbor):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([round_index, own, neighbor])
-        row = buf.getvalue()[:-1]
+        row = csv_line([round_index, own, neighbor])
         assert render_interaction_table([(round_index, own, neighbor)]) == f"{INTERACTION_TABLE_HEADER}\n{row}"
 
     def test_round_trip(self):
@@ -87,11 +85,18 @@ class TestInteractionTable:
 
     def test_table_is_header_plus_rendered_rows(self):
         rows = [(1, '#say "hi", world', "#x,y"), (2, "#a\nb", ""), (3, "#c\rd", "#e")]
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([INTERACTION_TABLE_HEADER.split(","), *rows])
-        assert render_interaction_table(rows) == buf.getvalue()[:-1]
+        assert render_interaction_table(rows) == "\n".join(map(csv_line, [INTERACTION_TABLE_HEADER.split(","), *rows]))
         assert render_interaction_table(rows[1:2]) == f'{INTERACTION_TABLE_HEADER}\n2,"#a\nb",'
         assert render_interaction_table([]) == INTERACTION_TABLE_HEADER
+
+    def test_carriage_return_cell_is_quoted(self):
+        # csv.writer quotes only the characters of its line end before 3.13,
+        # so an LF-terminated writer leaves this cell bare there
+        table = render_interaction_table([(1, "#a\rb", "#c")])
+        assert table == f'{INTERACTION_TABLE_HEADER}\n1,"#a\rb",#c'
+        assert list(csv.reader(io.StringIO(table, newline=""))) == [
+            INTERACTION_TABLE_HEADER.split(","), ["1", "#a\rb", "#c"],
+        ]
 
     def test_header_must_be_a_whole_line(self):
         assert parse_interaction_table("x" + INTERACTION_TABLE_HEADER + "\n1,#a,#b") == []

@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -47,6 +49,30 @@ def make_record(round_index, a, b, raw_a, raw_b, fb_a=False, fb_b=False):
         hashtag_a=tag_a, hashtag_b=tag_b, match=match,
         points_a=int(match), points_b=int(match), fallback_a=fb_a, fallback_b=fb_b,
     )
+
+
+# Raw hashtags the engine never writes but the reader takes as they are:
+# CSV-hostile and non-ASCII text, and text that normalizes to nothing.
+HOSTILE_RAW = st.one_of(
+    st.sampled_from(["#a", "#A!", "a b", '#x,"y"', "#福島", "#Straße", "###", "", "\r\n", "#noresponse"]),
+    st.text(st.one_of(st.sampled_from('#",\r\n Aa1'), st.characters(blacklist_categories=("Cs",))), max_size=6),
+)
+
+
+@st.composite
+def hostile_transcripts(draw):
+    """Transcripts the reader accepts: agents 2j and 2j+1 pair in every round
+    over a header network of those edges, each side's hashtag comes from
+    ``Hashtag.from_raw`` of a ``HOSTILE_RAW`` text, and each side may be a
+    fallback."""
+    pairs, rounds = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    records = [
+        make_record(r, 2 * j, 2 * j + 1, draw(HOSTILE_RAW), draw(HOSTILE_RAW), draw(st.booleans()), draw(st.booleans()))
+        for r in range(1, rounds + 1)
+        for j in range(pairs)
+    ]
+    return Transcript(header={"run_id": "hostile", "network_edges": [[2 * j, 2 * j + 1] for j in range(pairs)]},
+                      records=records)
 
 
 class TestNormalization:
@@ -641,8 +667,8 @@ class TestTranscriptIO:
             "round gap": [r for r in records if r.round != 2],
             "swapped within a round": [records[1], records[0], *records[2:]],
             "repeated record": [records[0], *records],
-            "first round 0": [replace(r, round=r.round - 1) for r in records],
-            "first round 2": [replace(r, round=r.round + 1) for r in records],
+            "first round 0": [r._replace(round=r.round - 1) for r in records],
+            "first round 2": [r._replace(round=r.round + 1) for r in records],
         }
         for name, bad in bad_orders.items():
             path = tmp_path / f"{name.replace(' ', '_')}.jsonl"
@@ -670,10 +696,14 @@ class TestTranscriptIO:
                          "points_b": 1}, "line 3: match True contradicts the normalized forms of"),
         (0, lambda doc: {**doc, "config": {**doc["config"], "match_on": "fuzzy"}},
          "line 1: match_on must be 'normalized' or 'raw', got 'fuzzy'"),
+        (1, lambda doc: {**doc, "hashtag_a": {**doc["hashtag_a"], "normalized": "zzz"}},
+         "line 2: hashtag_a normalized 'zzz' is not the normalized form of raw"),
+        (2, lambda doc: {**doc, "hashtag_b": {**doc["hashtag_b"], "normalized": doc["hashtag_b"]["normalized"].title()}},
+         "line 3: hashtag_b normalized '[^']*[A-Z][^']*' is not the normalized form of raw"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
             "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
-            "header-unknown-match_on"])
+            "header-unknown-match_on", "hashtag_a-normalized-zzz", "hashtag_b-normalized-capital"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
@@ -727,6 +757,21 @@ class TestTranscriptIO:
         else:
             with pytest.raises(TranscriptError, match=f"line 2: {message}"):
                 read_transcript(path)
+
+    @given(hostile_transcripts())
+    @settings(max_examples=60, deadline=None)
+    def test_write_read_write_keeps_bytes_and_shares_each_hashtag(self, transcript):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.jsonl"), Path(tmp, "second.jsonl")
+            write_transcript(transcript, first)
+            reloaded = read_transcript(first)
+            write_transcript(reloaded, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert reloaded.records == transcript.records
+        shared: dict[Hashtag, Hashtag] = {}
+        for record in reloaded.records:
+            for tag in (record.hashtag_a, record.hashtag_b):
+                assert shared.setdefault(tag, tag) is tag  # one object per (raw, normalized) pair
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -33,7 +33,7 @@ from hashnet.narrative import FocalNarrative, NarrativeEvent
 
 from conftest import FIXTURES, make_mock_config
 from oracles import align_bruteforce, entropy_mp, perplexity_mp, read_jsonl, tally_round
-from test_engine import make_record
+from test_engine import hostile_transcripts, make_record
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +391,51 @@ class TestMetricSeries:
             metric_series(transcript, "entropy")
         with pytest.raises(MetricError, match="no records for round 2"):
             rank_abundance(transcript)
+
+
+class TestPerplexitySeries:
+    """``metric_series`` perplexity against ``perplexity`` of each round's raw
+    hashtags, which tokenizes them itself."""
+
+    @given(
+        transcript=hostile_transcripts(),
+        tokenization=st.sampled_from(("hashtag", "words")),
+        include_fallbacks=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_perplexity_of_the_raw_hashtags(self, transcript, tokenization, include_fallbacks):
+        model = build_unigram_model(["#a", "#A! b", "#福島", "#Straße 1", "#noresponse"], tokenization)
+        expected, error = [], None
+        for round_index in range(1, transcript.rounds_completed() + 1):
+            raws = round_responses(transcript, round_index, include_fallbacks=include_fallbacks, form="raw")
+            try:
+                expected.append((round_index, perplexity(model, raws)))
+            except MetricError as err:
+                error = f"round {round_index}: {err}"
+                break
+        if error is None:
+            series = metric_series(transcript, "perplexity", model=model, include_fallbacks=include_fallbacks)
+            assert series.values == tuple(expected)  # exact: same tokens, summed in the same order
+        else:
+            with pytest.raises(MetricError) as caught:
+                metric_series(transcript, "perplexity", model=model, include_fallbacks=include_fallbacks)
+            assert str(caught.value) == error
+
+    @pytest.mark.parametrize("tokenization", ["hashtag", "words"])
+    def test_all_fallback_round_excluded(self, tokenization):
+        records = [make_record(1, 0, 1, "#a", "#b"), make_record(2, 0, 1, "#a", "#b", fb_a=True, fb_b=True)]
+        model = build_unigram_model(["#a"], tokenization)
+        with pytest.raises(MetricError) as caught:
+            metric_series(Transcript(header={}, records=records), "perplexity", model=model, include_fallbacks=False)
+        assert str(caught.value) == "round 2: perplexity of an empty response list is undefined"
+
+    @pytest.mark.parametrize("tokenization", ["hashtag", "words"])
+    def test_round_of_empty_forms(self, tokenization):
+        records = [make_record(1, 0, 1, "###", "!?"), make_record(2, 0, 1, "#a", "#b")]
+        model = build_unigram_model(["#a"], tokenization)
+        with pytest.raises(MetricError) as caught:
+            metric_series(Transcript(header={}, records=records), "perplexity", model=model)
+        assert str(caught.value) == "round 1: responses contain no usable tokens"
 
 
 class CountingRecords(list):
