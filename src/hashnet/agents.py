@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,7 +71,8 @@ class AgentSpec(Checked):
     backend_params: Mapping = field(default_factory=dict)
 
     def violations(self) -> list[ConfigError]:
-        """Checks the backend parameters by constructing the backend; a
+        """Checks the backend parameters by constructing the backend, whose
+        setting names go under this agent's ``backend_params`` path; a
         replay agent's transcript is only checked for being a path."""
         where = f"agents[{self.agent_id}]"
         if not is_integer(self.agent_id) or self.agent_id < 0:
@@ -81,11 +81,11 @@ class AgentSpec(Checked):
             return [ConfigError(f"{where}.backend", f"must be one of {BACKEND_KINDS}, got {self.backend!r}")]
         try:
             if self.backend == "replay":
-                _replay_source(self)
+                _replay_source(self.backend_params)
             else:
                 build_backend(self)
         except ConfigError as err:
-            return [err]
+            return [ConfigError(f"{where}.backend_params.{err.field}", err.message)]
         return []
 
 
@@ -192,7 +192,7 @@ def _imitate(
 ) -> str:
     """The imitation rule over tallied history (see ``mock_imitate``)."""
     if not lexicon:
-        raise ConfigError("backend_params.lexicon", "imitate strategy requires a nonempty lexicon")
+        raise ConfigError("lexicon", "imitate strategy requires a nonempty lexicon")
     if not counts:
         return str(lexicon[int(rng.integers(len(lexicon)))])
     top = max(counts.values())
@@ -234,21 +234,21 @@ class MockBackend:
         if lexicon is not None and not (
             isinstance(lexicon, (list, tuple)) and all(isinstance(word, str) for word in lexicon)
         ):
-            raise ConfigError("backend_params.lexicon", "must be a list of strings")
+            raise ConfigError("lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
         self._memo: dict[int, tuple[tuple, dict[str, int], dict[str, int]]] = {}
         if not isinstance(strategy, str):
-            raise ConfigError("backend_params.strategy", "mock backend requires a strategy string")
+            raise ConfigError("strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
             self._constant = strategy[len("constant:"):]
             if not self._constant:
-                raise ConfigError("backend_params.strategy", "constant strategy needs text after the colon")
+                raise ConfigError("strategy", "constant strategy needs text after the colon")
         elif strategy == "imitate":
             if not self._lexicon:
-                raise ConfigError("backend_params.lexicon", "imitate strategy requires a nonempty lexicon")
+                raise ConfigError("lexicon", "imitate strategy requires a nonempty lexicon")
         else:
-            raise ConfigError("backend_params.strategy", f"unknown mock strategy {strategy!r}")
+            raise ConfigError("strategy", f"unknown mock strategy {strategy!r}")
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
@@ -275,28 +275,33 @@ class MockBackend:
 
 
 class ReplayBackend:
-    """Replays recorded raw responses keyed by (agent_id, round)."""
+    """Replays recorded raw responses keyed by (agent_id, round); a None
+    response replays an unavailable backend."""
 
-    def __init__(self, responses: Mapping[tuple[int, int], str]):
+    def __init__(self, responses: Mapping[tuple[int, int], str | None]):
         self._responses = dict(responses)
 
     @classmethod
     def from_transcript(cls, path: str | Path) -> "ReplayBackend":
         """Index a transcript file: raw_a/raw_b of every record, by agent and
-        round. The file is read, and checked, by ``read_transcript``."""
+        round, or None for a side flagged ``unavailable_*``. The file is read,
+        and checked, by ``read_transcript``."""
         from .engine import read_transcript  # engine imports this module
 
         return cls({
-            (agent, record.round): raw
+            (agent, record.round): None if unavailable else raw
             for record in read_transcript(path).records
-            for agent, raw, _, _ in record.sides()
+            for (agent, raw, _, _), unavailable in zip(record.sides(), (record.unavailable_a, record.unavailable_b))
         })
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         key = (req.agent_id, req.round)
         if key not in self._responses:
             raise ReplayGapError(req.agent_id, req.round)
-        return BackendResponse(raw_text=self._responses[key])
+        text = self._responses[key]
+        if text is None:
+            raise BackendUnavailableError(req.agent_id, req.round, "unavailable in the replayed transcript")
+        return BackendResponse(raw_text=text)
 
 
 class HttpClient:
@@ -306,8 +311,8 @@ class HttpClient:
     The constructor checks the connection settings. Each request carries a
     bearer token read from ``api_key_env`` when that variable is set.
     Failures that ``is_retryable`` accepts are retried with exponential
-    backoff. ``max_in_flight`` caps the requests in flight through this
-    one client, not across clients.
+    backoff. Concurrency is the caller's: a simulation makes at most
+    ``parallelism`` calls at once.
     """
 
     def __init__(
@@ -320,7 +325,6 @@ class HttpClient:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        max_in_flight: int = 8,
     ):
         for name, value in (("base_url", base_url), ("model", model), ("api_key_env", api_key_env)):
             if not isinstance(value, str) or not value:
@@ -331,15 +335,12 @@ class HttpClient:
             raise ConfigError("max_retries", f"must be a positive integer, got {max_retries!r}")
         if not is_number(backoff) or backoff < 0:
             raise ConfigError("backoff", f"must be a number >= 0, got {backoff!r}")
-        if not is_integer(max_in_flight) or max_in_flight < 1:
-            raise ConfigError("max_in_flight", f"must be a positive integer, got {max_in_flight!r}")
         self._url = base_url.rstrip("/") + path
         self.model = model
         self._api_key_env = api_key_env
         self._timeout = timeout
         self._max_retries = max_retries
         self._backoff = backoff
-        self._gate = threading.BoundedSemaphore(max_in_flight)
         # Imported here so that runs without a remote backend never load it.
         import requests
 
@@ -360,8 +361,7 @@ class HttpClient:
         failure = ""
         for attempt in range(1, self._max_retries + 1):
             try:
-                with self._gate:
-                    response = self._session.post(self._url, json=payload, headers=headers, timeout=self._timeout)
+                response = self._session.post(self._url, json=payload, headers=headers, timeout=self._timeout)
                 response.raise_for_status()
                 return read(response.json()), attempt
             except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as err:
@@ -380,18 +380,11 @@ class RemoteBackend:
     returned untouched. Failures that ``is_retryable`` accepts are retried
     with exponential backoff; exhaustion, or any other failure, raises
     BackendUnavailableError so the engine can apply its fallback rule.
-
-    ``max_in_flight`` caps this backend's own requests. Each agent gets its
-    own backend and makes one call per round, and rounds are barriers, so
-    in a simulation the cap never binds.
     """
 
     def __init__(self, base_url: str, model: str, **settings):
         """``settings`` are ``HttpClient``'s keyword arguments."""
-        try:
-            self._client = HttpClient(base_url, "/chat/completions", model, **settings)
-        except ConfigError as err:
-            raise ConfigError(f"backend_params.{err.field}", err.message) from None
+        self._client = HttpClient(base_url, "/chat/completions", model, **settings)
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         payload = {
@@ -432,21 +425,19 @@ def _first_choice_text(data: dict) -> str:
     raise ValueError("response carries no choice text")
 
 
-def _replay_source(spec: AgentSpec) -> str:
-    reject_unknown(spec.backend_params, ("transcript",), f"agents[{spec.agent_id}].backend_params.")
-    source = spec.backend_params.get("transcript")
+def _replay_source(params: Mapping) -> str:
+    reject_unknown(params, ("transcript",))
+    source = params.get("transcript")
     if not isinstance(source, str) or not source:
-        raise ConfigError(
-            f"agents[{spec.agent_id}].backend_params.transcript", "replay backend requires a transcript path"
-        )
+        raise ConfigError("transcript", "replay backend requires a transcript path")
     return source
 
 
-def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params: Mapping, prefix: str) -> T:
+def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params: Mapping) -> T:
     """``cls`` called with the ``positional`` params in order (None when
     absent) and the ``keyword`` params that are present, so its own defaults
-    fill the rest; any other key raises ``ConfigError`` under ``prefix``."""
-    reject_unknown(params, positional + keyword, prefix)
+    fill the rest; any other key raises ``ConfigError`` naming that key."""
+    reject_unknown(params, positional + keyword)
     settings = dict(params)
     args = [settings.pop(key, None) for key in positional]
     return cls(*args, **settings)
@@ -454,17 +445,15 @@ def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params
 
 def build_backend(spec: AgentSpec) -> Backend:
     """Construct the backend an AgentSpec describes. Each constructor checks
-    its own parameters; their field paths gain this agent's prefix."""
+    its own parameters and names a bad one by its setting name alone;
+    ``AgentSpec.violations`` places it under the agent's path."""
     if spec.backend == "replay":
-        return ReplayBackend.from_transcript(_replay_source(spec))
-    try:
-        if spec.backend == "mock":
-            return from_params(MockBackend, ("strategy",), ("lexicon",), spec.backend_params, "backend_params.")
-        if spec.backend == "remote":
-            keyword = ("api_key_env", "timeout", "max_retries", "backoff", "max_in_flight")
-            return from_params(RemoteBackend, ("base_url", "model"), keyword, spec.backend_params, "backend_params.")
-    except ConfigError as err:
-        raise ConfigError(f"agents[{spec.agent_id}].{err.field}", err.message) from None
+        return ReplayBackend.from_transcript(_replay_source(spec.backend_params))
+    if spec.backend == "mock":
+        return from_params(MockBackend, ("strategy",), ("lexicon",), spec.backend_params)
+    if spec.backend == "remote":
+        keyword = ("api_key_env", "timeout", "max_retries", "backoff")
+        return from_params(RemoteBackend, ("base_url", "model"), keyword, spec.backend_params)
     raise ConfigError(f"agents[{spec.agent_id}].backend", f"unknown backend {spec.backend!r}")
 
 
@@ -474,7 +463,7 @@ def build_backends(specs: Sequence[AgentSpec]) -> dict[int, Backend]:
     backends: dict[int, Backend] = {}
     for spec in specs:
         if spec.backend == "replay":
-            path = _replay_source(spec)
+            path = _replay_source(spec.backend_params)
             if path not in replay_sources:
                 replay_sources[path] = ReplayBackend.from_transcript(path)
             backends[spec.agent_id] = replay_sources[path]

@@ -110,7 +110,7 @@ class MetricsSettings(Checked):
         names = tuple(_EMBEDDING_PROVIDERS)
         if provider not in names:
             raise ConfigError("provider", f"must be one of {names}")
-        return from_params(*_EMBEDDING_PROVIDERS[provider], settings, "")
+        return from_params(*_EMBEDDING_PROVIDERS[provider], settings)
 
 
 @dataclass

@@ -172,6 +172,9 @@ class InteractionRecord(NamedTuple):
     points_b: int
     fallback_a: bool
     fallback_b: bool
+    # A fallback side whose backend was unavailable, rather than unparseable.
+    unavailable_a: bool = False
+    unavailable_b: bool = False
 
     def sides(self) -> tuple[tuple[int, str, str, str], tuple[int, str, str, str]]:
         """(agent, raw text, own raw hashtag, neighbor raw hashtag) of side a, then of side b."""
@@ -181,9 +184,14 @@ class InteractionRecord(NamedTuple):
         )
 
     def to_dict(self) -> dict:
-        """The record's JSON object, keys in field order."""
-        doc = self._asdict()
+        """The record's JSON object, keys in field order; an ``unavailable_*``
+        key is written only when it is true."""
+        doc = dict(zip(_ALWAYS_WRITTEN, self))
         doc["hashtag_a"], doc["hashtag_b"] = self.hashtag_a._asdict(), self.hashtag_b._asdict()
+        if self.unavailable_a:
+            doc["unavailable_a"] = True
+        if self.unavailable_b:
+            doc["unavailable_b"] = True
         return doc
 
     @classmethod
@@ -192,6 +200,9 @@ class InteractionRecord(NamedTuple):
         of its hashtags, is not an object or lacks a field, or when a
         hashtag's ``normalized`` is not ``normalize_hashtag`` of its ``raw``."""
         return _record(doc, {})
+
+
+_ALWAYS_WRITTEN = InteractionRecord._fields[:-2]  # all but the unavailable flags
 
 
 def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecord:
@@ -204,6 +215,7 @@ def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecor
         return InteractionRecord(
             doc["round"], doc["agent_a"], doc["agent_b"], doc["raw_a"], doc["raw_b"], tag_a, tag_b,
             doc["match"], doc["points_a"], doc["points_b"], doc["fallback_a"], doc["fallback_b"],
+            doc.get("unavailable_a", False), doc.get("unavailable_b", False),
         )
     except KeyError as err:
         raise TranscriptError(f"record missing field {err}") from err
@@ -272,12 +284,14 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 def read_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file, checking that the header and every record
-    are JSON objects with the record fields, that ``round``, ``agent_a`` and
-    ``agent_b`` are integers, that each pair is an edge of the header's
-    ``network_edges``, that each side's points are 1 on a match and 0
-    otherwise, that ``match`` agrees with the header config's ``match_on``
-    (normalized by default), that rounds run contiguously from 1 and that
-    (round, agent_a) strictly increases from record to record.
+    are JSON objects with the record fields, that ``round``, ``agent_a``,
+    ``agent_b`` and the points are integers and ``match`` and the fallback
+    flags booleans, that an ``unavailable_*`` key is true and on a fallback
+    side, that each pair is an edge of the header's ``network_edges``, that
+    each side's points are 1 on a match and 0 otherwise, that ``match``
+    agrees with the header config's ``match_on`` (normalized by default),
+    that rounds run contiguously from 1 and that (round, agent_a) strictly
+    increases from record to record.
 
     Each hashtag's ``normalized`` must be ``normalize_hashtag`` of its
     ``raw``. The check runs once per distinct (raw, normalized) pair; every
@@ -317,9 +331,21 @@ def read_transcript(path: str | Path) -> Transcript:
                     record = _record(doc, tags)
                 except TranscriptError as err:
                     raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
-                for key in ("round", "agent_a", "agent_b"):
-                    if not is_integer(getattr(record, key)):
+                # JSON numbers decode to int or float and true/false to bool, never to subclasses.
+                for key in ("round", "agent_a", "agent_b", "points_a", "points_b"):
+                    if type(doc[key]) is not int:
                         raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
+                for key in ("match", "fallback_a", "fallback_b"):
+                    if type(doc[key]) is not bool:
+                        raise TranscriptError(f"{path}: line {i + 1}: {key} must be true or false, got {doc[key]!r}")
+                if "unavailable_a" in doc or "unavailable_b" in doc:
+                    for key, fallback in (("unavailable_a", "fallback_a"), ("unavailable_b", "fallback_b")):
+                        if key in doc and doc[key] is not True:
+                            raise TranscriptError(
+                                f"{path}: line {i + 1}: {key} must be true if present, got {doc[key]!r}"
+                            )
+                        if key in doc and not doc[fallback]:
+                            raise TranscriptError(f"{path}: line {i + 1}: {key} on a side whose {fallback} is false")
                 if (record.agent_a, record.agent_b) not in edges:
                     raise TranscriptError(
                         f"{path}: line {i + 1}: pair ({record.agent_a}, {record.agent_b}) is not an edge of the "
@@ -559,6 +585,8 @@ def run_simulation(
                     points_b=points,
                     fallback_a=fb_a,
                     fallback_b=fb_b,
+                    unavailable_a=texts[a] is None,
+                    unavailable_b=texts[b] is None,
                 ))
             extend_histories(histories, round_records)
             transcript.records += round_records

@@ -36,21 +36,15 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def reject_unknown(doc, known, prefix: str) -> None:
-    """Raise ``ConfigError`` for the first key of ``doc`` not in ``known``;
-    its field path is ``prefix`` followed by the key."""
+def reject_unknown(doc, known) -> None:
+    """Raise ``ConfigError`` naming the first key of ``doc`` not in ``known``."""
     for key in doc:
         if key not in known:
-            raise ConfigError(f"{prefix}{key}", "unknown field")
+            raise ConfigError(key, "unknown field")
 
 
-class NarrativeLoadError(HashnetError):
+class NarrativeLoadError(ConfigError):
     """Narrative document missing, malformed, or violating an invariant."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
 
 
 class BackendUnavailableError(HashnetError):

@@ -279,6 +279,13 @@ class TestReplayBackend:
         assert backend.respond(request(agent_id=3, round_index=7), rng()).raw_text == "#Setsuden"
         assert backend.respond(request(agent_id=5, round_index=7), rng()).raw_text == "#Other"
 
+    def test_unavailable_side_raises(self):
+        backend = ReplayBackend({(0, 1): "#a", (1, 1): None})
+        assert backend.respond(request(agent_id=0, round_index=1), rng()).raw_text == "#a"
+        with pytest.raises(BackendUnavailableError) as err:
+            backend.respond(request(agent_id=1, round_index=1), rng())
+        assert (err.value.agent_id, err.value.round_index) == (1, 1)
+
     def test_gap_error(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write_transcript(path)
@@ -293,7 +300,7 @@ class TestRemoteBackend:
     def test_single_user_message_and_decode_params(self, stub_server, monkeypatch):
         monkeypatch.setenv("HASHNET_API_KEY", "secret-token")
         stub_server.script.append("#FromModel")
-        backend = RemoteBackend(stub_server.base_url, "test-model", max_in_flight=2)
+        backend = RemoteBackend(stub_server.base_url, "test-model")
         req = BackendRequest(
             round=2,
             agent_id=4,
@@ -380,14 +387,27 @@ class TestSpecAndDispatch:
             AgentSpec(0, "remote", {"model": "m"}).validate()
         assert "base_url" in err.value.field
 
-    @pytest.mark.parametrize("key, value", [
-        ("max_retries", "three"),
-        ("max_retries", True),
-        ("max_in_flight", 0),
-        ("timeout", "60"),
-        ("backoff", -1),
-    ])
-    def test_remote_params_checked_by_constructor(self, key, value):
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_retries", "three", "must be a positive integer"),
+        ("max_retries", True, "must be a positive integer"),
+        ("max_in_flight", 0, "unknown field"),
+        ("timeout", "60", "must be a number > 0"),
+        ("backoff", -1, "must be a number >= 0"),
+    ], ids=["max_retries-three", "max_retries-True", "max_in_flight-0", "timeout-60", "backoff--1"])
+    def test_remote_params_checked_by_constructor(self, key, value, message):
         spec = AgentSpec(3, "remote", {"base_url": "http://127.0.0.1:1/v1", "model": "m", key: value})
         [err] = spec.violations()
         assert err.field == f"agents[3].backend_params.{key}"
+        assert err.message.startswith(message)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: MockBackend("chaos"), "strategy"),
+        (lambda: MockBackend("imitate"), "lexicon"),
+        (lambda: MockBackend("constant:#x", lexicon="#x"), "lexicon"),
+        (lambda: mock_imitate([], [], rng()), "lexicon"),
+        (lambda: RemoteBackend("http://127.0.0.1:1/v1", "m", timeout=0), "timeout"),
+    ], ids=["mock-strategy", "imitate-lexicon", "lexicon-type", "mock_imitate-lexicon", "remote-timeout"])
+    def test_constructors_name_bare_settings(self, make, field):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert err.value.field == field

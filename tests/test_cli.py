@@ -94,11 +94,21 @@ class TestValidate:
             "provider": "remote", "base_url": "http://127.0.0.1:1/v1", "model": "m", "backoff": 2,
         }}}),
         ("output.transcirpt", {"output": {"transcirpt": "t.jsonl"}}),
+        ("agents[0].backend_params.max_in_flight", {"agents": {"backend": "remote", "count": 6, "params": {
+            "base_url": "http://127.0.0.1:1/v1", "model": "m", "max_in_flight": 2,
+        }}}),
     ])
     def test_unknown_key_in_a_section_flagged(self, tmp_path, capsys, field_path, overrides):
         path = write_config(tmp_path, small_mock_doc(**overrides))
         assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
         assert f"  {field_path}: unknown field" in capsys.readouterr().out
+
+    def test_one_violation_per_agent_backend_params(self, tmp_path):
+        # five bad settings on each of six agents: each constructor stops at its first
+        params = {"base_url": "", "model": "", "timeout": 0, "max_retries": 0, "backoff": -1}
+        doc = small_mock_doc(agents={"backend": "remote", "count": 6, "params": params})
+        assert validate_config(doc, tmp_path) == [(f"agents[{i}].backend_params.base_url", "must be a nonempty "
+                                                   "string, got ''") for i in range(6)]
 
     def test_missing_reference_corpus_flagged(self, tmp_path, capsys):
         doc = small_mock_doc(metrics={"reference_corpus": "nowhere.txt"})

@@ -64,13 +64,15 @@ def hostile_transcripts(draw):
     """Transcripts the reader accepts: agents 2j and 2j+1 pair in every round
     over a header network of those edges, each side's hashtag comes from
     ``Hashtag.from_raw`` of a ``HOSTILE_RAW`` text, and each side may be a
-    fallback."""
+    fallback, and a fallback side unavailable."""
     pairs, rounds = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     records = [
         make_record(r, 2 * j, 2 * j + 1, draw(HOSTILE_RAW), draw(HOSTILE_RAW), draw(st.booleans()), draw(st.booleans()))
         for r in range(1, rounds + 1)
         for j in range(pairs)
     ]
+    records = [record._replace(unavailable_a=record.fallback_a and draw(st.booleans()),
+                               unavailable_b=record.fallback_b and draw(st.booleans())) for record in records]
     return Transcript(header={"run_id": "hostile", "network_edges": [[2 * j, 2 * j + 1] for j in range(pairs)]},
                       records=records)
 
@@ -281,8 +283,6 @@ class TestRunSimulation:
         replayed = run_simulation(replay_config)
         assert replayed.records == original.records
 
-    @pytest.mark.xfail(strict=True, reason="the transcript does not record which sides had no backend, so a replay "
-                       "reads the substituted guesses as answers (ROADMAP item 1, unavailability in the file)")
     def test_replay_reproduces_fallbacks_of_an_unavailable_backend(self, tmp_path):
         # one remote agent on a closed port among 19 imitate mocks
         remote = {"base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": 1, "backoff": 0}
@@ -647,6 +647,13 @@ class TestTranscriptIO:
             "fallback_a", "fallback_b",
         ]
 
+    def test_unavailable_key_written_only_when_true(self):
+        record = make_record(1, 0, 1, "#a", "#b", fb_a=True, fb_b=True)
+        assert "unavailable_a" not in record.to_dict() and "unavailable_b" not in record.to_dict()
+        doc = record._replace(unavailable_b=True).to_dict()
+        assert list(doc)[-3:] == ["fallback_a", "fallback_b", "unavailable_b"] and doc["unavailable_b"] is True
+        assert InteractionRecord.from_dict(doc) == record._replace(unavailable_b=True)
+
     def test_header_fields(self, tmp_path):
         path = tmp_path / "t.jsonl"
         config = make_mock_config(n=6, rounds=1, seed=4)
@@ -700,10 +707,27 @@ class TestTranscriptIO:
          "line 2: hashtag_a normalized 'zzz' is not the normalized form of raw"),
         (2, lambda doc: {**doc, "hashtag_b": {**doc["hashtag_b"], "normalized": doc["hashtag_b"]["normalized"].title()}},
          "line 3: hashtag_b normalized '[^']*[A-Z][^']*' is not the normalized form of raw"),
+        (1, lambda doc: {**doc, "fallback_a": "no"}, "line 2: fallback_a must be true or false, got 'no'"),
+        (2, lambda doc: {**doc, "fallback_b": 0}, "line 3: fallback_b must be true or false, got 0"),
+        (1, lambda doc: {**doc, "hashtag_b": doc["hashtag_a"], "match": 1, "points_a": 1, "points_b": 1},
+         "line 2: match must be true or false, got 1"),
+        (1, lambda doc: {**doc, "hashtag_b": doc["hashtag_a"], "match": True, "points_a": True, "points_b": 1},
+         "line 2: points_a must be an integer, got True"),
+        (2, lambda doc: {**doc, "hashtag_a": {"raw": "#yy", "normalized": "yy"}, "hashtag_b": {"raw": "#zz",
+                         "normalized": "zz"}, "match": False, "points_a": 0, "points_b": 0.0},
+         r"line 3: points_b must be an integer, got 0\.0"),
+        (1, lambda doc: {**doc, "fallback_a": True, "unavailable_a": "yes"},
+         "line 2: unavailable_a must be true if present, got 'yes'"),
+        (2, lambda doc: {**doc, "fallback_b": True, "unavailable_b": False},
+         "line 3: unavailable_b must be true if present, got False"),
+        (1, lambda doc: {**doc, "fallback_a": False, "unavailable_a": True},
+         "line 2: unavailable_a on a side whose fallback_a is false"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
             "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
-            "header-unknown-match_on", "hashtag_a-normalized-zzz", "hashtag_b-normalized-capital"])
+            "header-unknown-match_on", "hashtag_a-normalized-zzz", "hashtag_b-normalized-capital",
+            "fallback_a-string", "fallback_b-zero", "match-one", "points_a-true", "points_b-float",
+            "unavailable_a-string", "unavailable_b-false", "unavailable_a-without-fallback"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)

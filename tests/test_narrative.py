@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hashnet import NarrativeLoadError, bundled_narrative, load_narrative, save_narrative
+from hashnet import ConfigError, NarrativeLoadError, bundled_narrative, load_narrative, save_narrative
 
 # Frozen digests of the bundled study texts; a transcription change is a bug.
 FUKUSHIMA_SHA256 = "090651b3c1a6727a0bb95d98c3b98e947ac2cd9842d3295d1111daf412c6c3ec"
@@ -42,6 +42,12 @@ class TestBundledNarratives:
     def test_unknown_bundled_name(self):
         with pytest.raises(NarrativeLoadError):
             bundled_narrative("atlantis")
+
+    def test_load_error_is_a_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            bundled_narrative("atlantis")
+        assert isinstance(err.value, NarrativeLoadError)
+        assert (err.value.field, err.value.message) == ("$", "no bundled narrative named 'atlantis'")
 
 
 class TestLoadValidation:
