@@ -176,12 +176,24 @@ def parse_interaction_table(prompt: str) -> list[tuple[int, str, str]]:
     return [(int(record[0]), record[1], record[2]) for record in csv.reader(body) if len(record) == 3]
 
 
-def _tally(rows: Sequence[tuple[int, str, str]], counts: dict[str, int], last_seen: dict[str, int]) -> None:
-    """Add rows to the running neighbor-guess counts and last-seen rounds."""
+def _tally(
+    rows: Sequence[tuple[int, str, str]], counts: dict[str, int], last_seen: dict[str, int], best: str | None
+) -> str | None:
+    """Add rows to the running neighbor-guess counts and last-seen rounds, and
+    return the imitation answer after them, given ``best``, the answer before
+    them (None for no rows).
+
+    A row raises only its own guess's (count, last seen) key, so the answer
+    after it is that guess or the answer before it, in any row order."""
     for round_index, _own, neighbor in rows:
-        counts[neighbor] = counts.get(neighbor, 0) + 1
-        if neighbor not in last_seen or round_index > last_seen[neighbor]:
-            last_seen[neighbor] = round_index
+        count = counts[neighbor] = counts.get(neighbor, 0) + 1
+        seen = last_seen.get(neighbor)
+        if seen is None or round_index > seen:
+            last_seen[neighbor] = seen = round_index
+        # Higher count, then later round, then the lexicographically smaller guess wins.
+        if best is None or (count, seen, best) > (counts[best], last_seen[best], neighbor):
+            best = neighbor
+    return best
 
 
 def _imitate(
@@ -212,7 +224,7 @@ def mock_imitate(
     lexicographically."""
     counts: dict[str, int] = {}
     last_seen: dict[str, int] = {}
-    _tally(history, counts, last_seen)
+    _tally(history, counts, last_seen, None)
     return _imitate(counts, last_seen, lexicon, rng)
 
 
@@ -225,9 +237,10 @@ class MockBackend:
                            (requires ``lexicon`` for the opening round)
 
     An imitate mock reads its history from the request's rows. It keeps,
-    per agent, the rows it has read and their tallies; when the next
-    history extends those rows, only the new rows are tallied. The answer
-    is always ``mock_imitate`` over the whole history.
+    per agent, the rows it has read, their tallies and the answer they give;
+    when the next history extends those rows, only the new rows are
+    tallied, each updating the answer in constant time. The answer is
+    always ``mock_imitate`` over the whole history.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -237,7 +250,7 @@ class MockBackend:
             raise ConfigError("lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
-        self._memo: dict[int, tuple[tuple, dict[str, int], dict[str, int]]] = {}
+        self._memo: dict[int, tuple[tuple, dict[str, int], dict[str, int], str | None]] = {}
         if not isinstance(strategy, str):
             raise ConfigError("strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
@@ -253,25 +266,26 @@ class MockBackend:
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
             return BackendResponse(raw_text=self._constant)
-        counts, last_seen = self._tallies(req.agent_id, req.history)
-        return BackendResponse(raw_text=_imitate(counts, last_seen, self._lexicon, rng))
+        best = self._tallies(req.agent_id, req.history)[2]
+        return BackendResponse(raw_text=_imitate({}, {}, self._lexicon, rng) if best is None else best)
 
     def _tallies(
         self, agent_id: int, history: tuple[tuple[int, str, str], ...]
-    ) -> tuple[dict[str, int], dict[str, int]]:
-        """Tallies of ``history``, tallying only the rows past what this
-        agent's memo covers, and the memo brought up to date."""
-        seen, counts, last_seen = self._memo.get(agent_id, ((), {}, {}))
+    ) -> tuple[dict[str, int], dict[str, int], str | None]:
+        """Tallies of ``history`` and its answer (None for no rows), tallying
+        only the rows past what this agent's memo covers, and the memo
+        brought up to date."""
+        seen, counts, last_seen, best = self._memo.get(agent_id, ((), {}, {}, None))
         if history[:len(seen)] != seen:
-            seen, counts, last_seen = (), {}, {}
+            seen, counts, last_seen, best = (), {}, {}, None
         rows = history[len(seen):]
         if rows:
             counts, last_seen = dict(counts), dict(last_seen)
-            _tally(rows, counts, last_seen)
+            best = _tally(rows, counts, last_seen, best)
             # Entries are never changed once stored, so a concurrent call for
             # the same agent sees either the old entry or the new one.
-            self._memo[agent_id] = (history, counts, last_seen)
-        return counts, last_seen
+            self._memo[agent_id] = (history, counts, last_seen, best)
+        return counts, last_seen, best
 
 
 class ReplayBackend:

@@ -409,12 +409,22 @@ def _metric_outputs(
     return statuses
 
 
+def _read_whole_rounds(path: Path) -> Transcript:
+    """The transcript at ``path``, refused when its last round is partial:
+    metrics of a round with missing records would be silently wrong."""
+    if not path.is_file():
+        raise _IOFailure(f"transcript not found: {path}")
+    transcript = read_transcript(path)
+    if transcript.partial:
+        raise HashnetError(f"{path}: round {transcript.rounds_completed() + 1} is partial: records are missing, "
+                           "so two neighbors are both unpaired")
+    return transcript
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     loaded = build_config(*load_config(Path(args.config)), args)
     transcript_path = Path(args.transcript)
-    if not transcript_path.is_file():
-        raise _IOFailure(f"transcript not found: {transcript_path}")
-    transcript = read_transcript(transcript_path)
+    transcript = _read_whole_rounds(transcript_path)
     recorded, digest = transcript.header.get("config"), config_digest(config_snapshot(loaded.run))
     if isinstance(recorded, dict) and config_digest(recorded) != digest:
         print(f"warning: {transcript_path} was run with config digest {config_digest(recorded)}, but {args.config} "
@@ -450,9 +460,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     paths: dict[str, Path] = {}  # run label -> its transcript
     for path_text in args.transcripts:
         path = Path(path_text)
-        if not path.is_file():
-            raise _IOFailure(f"transcript not found: {path}")
-        transcript = read_transcript(path)
+        transcript = _read_whole_rounds(path)
         label = transcript.header.get("run_id") or path.stem
         if label in paths:
             raise HashnetError(

@@ -194,6 +194,18 @@ class InteractionRecord(NamedTuple):
             doc["unavailable_b"] = True
         return doc
 
+    def to_json(self) -> str:
+        """The record's JSON line, without its line feed: the same text as
+        ``json.dumps(self.to_dict(), ensure_ascii=False)``, built without the dict."""
+        (round_index, agent_a, agent_b, raw_a, raw_b, tag_a, tag_b,
+         match, points_a, points_b, fallback_a, fallback_b, unavailable_a, unavailable_b) = self
+        return _RECORD_JSON % (
+            round_index, agent_a, agent_b, _quote(raw_a), _quote(raw_b),
+            _quote(tag_a.raw), _quote(tag_a.normalized), _quote(tag_b.raw), _quote(tag_b.normalized),
+            _JSON_BOOL[match], points_a, points_b, _JSON_BOOL[fallback_a], _JSON_BOOL[fallback_b],
+            _UNAVAILABLE_KEYS[unavailable_a][unavailable_b],
+        )
+
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
         """The record a JSON value describes; TranscriptError when it, or one
@@ -203,6 +215,19 @@ class InteractionRecord(NamedTuple):
 
 
 _ALWAYS_WRITTEN = InteractionRecord._fields[:-2]  # all but the unavailable flags
+# InteractionRecord.to_json's pieces: json.dumps's separators, strings quoted as
+# ensure_ascii=False quotes them, and the unavailable keys by (unavailable_a, unavailable_b).
+_RECORD_JSON = (
+    '{"round": %d, "agent_a": %d, "agent_b": %d, "raw_a": %s, "raw_b": %s, '
+    '"hashtag_a": {"raw": %s, "normalized": %s}, "hashtag_b": {"raw": %s, "normalized": %s}, '
+    '"match": %s, "points_a": %d, "points_b": %d, "fallback_a": %s, "fallback_b": %s%s}'
+)
+_quote = json.encoder.encode_basestring
+_JSON_BOOL = ("false", "true")
+_UNAVAILABLE_KEYS = (
+    ("", ', "unavailable_b": true'),
+    (', "unavailable_a": true', ', "unavailable_a": true, "unavailable_b": true'),
+)
 
 
 def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecord:
@@ -245,14 +270,17 @@ def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hasht
 class Transcript:
     """Header plus interaction records ordered by (round, agent_a); the
     durable artifact of a run. ``abort`` carries the marker object when a
-    run stopped early."""
+    run stopped early. ``partial`` is set when records of the last round are
+    missing, as in a file cut mid-round; that round's records are kept."""
 
     header: dict
     records: list[InteractionRecord]
     abort: dict | None = None
+    partial: bool = False
 
     def rounds_completed(self) -> int:
-        return max((r.round for r in self.records), default=0)
+        """The last round with records, or the one before it when that round is partial."""
+        return max((r.round for r in self.records), default=0) - self.partial
 
     def records_for_round(self, round_index: int) -> list[InteractionRecord]:
         return [r for r in self.records if r.round == round_index]
@@ -279,7 +307,7 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
     """Write a complete transcript as JSON Lines (header first, UTF-8)."""
     abort = [] if transcript.abort is None else [transcript.abort]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_lines(handle, [transcript.header, *(record.to_dict() for record in transcript.records), *abort])
+        _write_lines(handle, [transcript.header, *transcript.records, *abort])
 
 
 def read_transcript(path: str | Path) -> Transcript:
@@ -295,7 +323,11 @@ def read_transcript(path: str | Path) -> Transcript:
 
     Each hashtag's ``normalized`` must be ``normalize_hashtag`` of its
     ``raw``. The check runs once per distinct (raw, normalized) pair; every
-    record holding that pair then shares one ``Hashtag``."""
+    record holding that pair then shares one ``Hashtag``.
+
+    A round's pairs are a maximal matching of the network, so an edge whose
+    two ends are both unpaired in the last round means records of that
+    round are missing: the transcript is returned with ``partial`` set."""
     header: dict | None = None
     tags: dict[tuple[str, str], Hashtag] = {}
     edges: set[tuple[int, int]] = set()
@@ -368,7 +400,17 @@ def read_transcript(path: str | Path) -> Transcript:
                 records.append(record)
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
-    return Transcript(header=header, records=records, abort=abort)
+    return Transcript(header=header, records=records, abort=abort, partial=_last_round_partial(header, records))
+
+
+def _last_round_partial(header: dict, records: list[InteractionRecord]) -> bool:
+    """Whether an edge of ``network_edges`` has both ends unpaired in the last round of ``records``."""
+    paired: set[int] = set()
+    for record in reversed(records):
+        if record.round != records[-1].round:
+            break
+        paired.update((record.agent_a, record.agent_b))
+    return bool(records) and any(a not in paired and b not in paired for a, b in header["network_edges"])
 
 
 # One encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False).
@@ -389,12 +431,13 @@ def _decode(line: str):
     return json.loads(line)
 
 
-def _write_line(handle: IO[str], obj: dict) -> None:
-    handle.write(_encode(obj))
+def _write_line(handle: IO[str], doc: dict | InteractionRecord) -> None:
+    """Write one line: a record as ``InteractionRecord.to_json``, any other document through ``_encode``."""
+    handle.write(doc.to_json() if isinstance(doc, InteractionRecord) else _encode(doc))
     handle.write("\n")
 
 
-def _write_lines(handle: IO[str] | None, docs: Iterable[dict]) -> None:
+def _write_lines(handle: IO[str] | None, docs: Iterable[dict | InteractionRecord]) -> None:
     """Write each document as a line, then flush so a crash keeps whole batches; no-op without a handle."""
     if handle is not None:
         for doc in docs:
@@ -590,9 +633,9 @@ def run_simulation(
                 ))
             extend_histories(histories, round_records)
             transcript.records += round_records
-            _write_lines(handle, (record.to_dict() for record in round_records))
+            _write_lines(handle, round_records)
 
-            unavailable_pairs = sum(any(texts[agent] is None for agent in pair) for pair in pairing.pairs)
+            unavailable_pairs = sum(record.unavailable_a or record.unavailable_b for record in round_records)
             if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):
                 stop(round_index, f"backend unavailable for {unavailable_pairs} of {len(pairing.pairs)} pairs")
                 break

@@ -78,11 +78,13 @@ class AlignmentResult:
 
 def _rounds(transcript: Transcript) -> list[list[InteractionRecord]]:
     """Records of rounds 1..rounds_completed(), grouped by round in one
-    pass over the records; a round without records gets an empty list."""
+    pass over the records; a round without records gets an empty list, and
+    a partial last round is left out."""
     grouped: dict[int, list[InteractionRecord]] = {}
     for record in transcript.records:
         grouped.setdefault(record.round, []).append(record)
-    return [grouped.get(round_index, []) for round_index in range(1, max(grouped, default=0) + 1)]
+    last = max(grouped, default=0) - transcript.partial
+    return [grouped.get(round_index, []) for round_index in range(1, last + 1)]
 
 
 def _responses(
@@ -398,16 +400,13 @@ def metric_series(
 
     values: list[tuple[int, float]] = []
     for round_index, records in enumerate(_rounds(transcript), start=1):
-        try:
-            if metric == "perplexity":
-                assert model is not None
-                value = _round_perplexity(model, records, round_index, include_fallbacks)
-            else:
-                responses = _responses(records, round_index, include_fallbacks, "normalized")
-                dist = _distribution(responses, round_index, dedup)
-                value = shannon_entropy(dist, base) if metric == "entropy" else dominant_share(dist)
-        except MetricError as err:
-            raise MetricError(f"round {round_index}: {err}") from err
+        if metric == "perplexity":
+            assert model is not None
+            value = _round_perplexity(model, records, round_index, include_fallbacks)
+        else:
+            responses = _responses(records, round_index, include_fallbacks, "normalized")
+            dist = _distribution(responses, round_index, dedup)
+            value = shannon_entropy(dist, base) if metric == "entropy" else dominant_share(dist)
         values.append((round_index, value))
     return MetricSeries(name=metric, values=tuple(values))
 
@@ -415,16 +414,18 @@ def metric_series(
 def _round_perplexity(
     model: UnigramModel, records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool
 ) -> float:
-    """``perplexity`` of one round's raw hashtags. In ``hashtag``
-    tokenization its tokens are the nonempty normalized forms, which the
-    reader and the engine keep equal to ``normalize_hashtag(raw)``, so no
-    hashtag is normalized again."""
-    if model.tokenization != "hashtag":
-        return perplexity(model, _responses(records, round_index, include_fallbacks, "raw"))
-    forms = _responses(records, round_index, include_fallbacks, "normalized")
-    if not forms:
-        raise MetricError("perplexity of an empty response list is undefined")
-    return _perplexity(model, [form for form in forms if form])
+    """``perplexity`` of one round's raw hashtags; its errors name the round.
+    In ``hashtag`` tokenization its tokens are the nonempty normalized forms,
+    which the reader and the engine keep equal to ``normalize_hashtag(raw)``,
+    so no hashtag is normalized again."""
+    hashtag = model.tokenization == "hashtag"
+    responses = _responses(records, round_index, include_fallbacks, "normalized" if hashtag else "raw")
+    try:
+        if hashtag and responses:
+            return _perplexity(model, [form for form in responses if form])
+        return perplexity(model, responses)
+    except MetricError as err:
+        raise MetricError(f"round {round_index}: {err}") from err
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -155,19 +155,18 @@ def pair_round(net: Network, round_index: int, rng: np.random.Generator) -> Pair
     """
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
-    order = rng.permutation(net.n)
+    adjacency = net.adjacency
     matched: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for a in order:
-        a = int(a)
+    for a in rng.permutation(net.n).tolist():
         if a in matched:
             continue
-        candidates = [b for b in net.adjacency[a] if b not in matched]
+        candidates = [b for b in adjacency[a] if b not in matched]
         if not candidates:
             continue
-        b = candidates[int(rng.integers(len(candidates)))]
+        b = candidates[rng.integers(len(candidates))]
         matched.add(a)
         matched.add(b)
-        pairs.append((min(a, b), max(a, b)))
+        pairs.append((a, b) if a < b else (b, a))
     unmatched = tuple(i for i in range(net.n) if i not in matched)
     return Pairing(round=round_index, pairs=tuple(sorted(pairs)), unmatched=unmatched)

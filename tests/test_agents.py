@@ -164,21 +164,29 @@ class TestMockBackend:
 
 # A small alphabet, so that CSV quoting and shared prefixes turn up often.
 _FIELD = st.text(alphabet='ab#, "', max_size=5)
-_ROW = st.tuples(st.integers(-1, 30), _FIELD, _FIELD)
+# Rows whose rounds repeat or decrease and whose few guesses tie on count and
+# round, so the answer often falls to the lexicographic tie-break.
+_ROW = st.one_of(
+    st.tuples(st.integers(-1, 30), _FIELD, _FIELD),
+    st.tuples(st.integers(1, 3), st.just("#own"), st.sampled_from(["#b", "#a", "#c", "#a "])),
+)
 LEXICON = ["#z", "#y", "#x"]
 
 
 def fresh_read(history, seed):
-    """The tallies and answer of a read of the whole history."""
+    """The tallies and answer of a read of the whole history; the answer is
+    ``mock_imitate``'s, which ranks every guess."""
     counts, last_seen = {}, {}
-    agents._tally(history, counts, last_seen)
+    agents._tally(history, counts, last_seen, None)
     return counts, last_seen, mock_imitate(history, LEXICON, rng(seed))
 
 
 def memo_read(backend, agent, history, seed):
-    """The same through a mock's memo: its tallies, then its answer."""
-    counts, last_seen = backend._tallies(agent, history)
+    """The same through a mock's memo: its tallies, then its answer. The
+    answer the memo keeps beside its tallies must be the one it gives."""
+    counts, last_seen, kept = backend._tallies(agent, history)
     answer = backend.respond(request(2, agent, history), rng(seed)).raw_text
+    assert kept == (answer if history else None)
     return counts, last_seen, answer
 
 
@@ -204,17 +212,33 @@ class TestMockMemo:
             histories[agent] = history
             assert memo_read(backend, agent, history, step) == fresh_read(history, step), history
 
+    @pytest.mark.parametrize("rows, answer", [
+        ([(2, "#o", "#b"), (2, "#o", "#a")], "#a"),  # tied on count and round: the smaller guess
+        ([(2, "#o", "#a"), (2, "#o", "#b")], "#a"),
+        ([(3, "#o", "#b"), (2, "#o", "#a")], "#b"),  # tied on count: the later round, rows in any order
+        ([(2, "#o", "#a"), (3, "#o", "#b"), (1, "#o", "#a")], "#a"),  # a row from an earlier round still counts
+        ([(5, "#o", "#b"), (1, "#o", "#a"), (5, "#o", "#a"), (5, "#o", "#b")], "#a"),
+    ], ids=["tie-smaller-second", "tie-smaller-first", "later-round-first", "count-beats-round", "full-tie"])
+    def test_kept_answer_follows_each_tie_break(self, rows, answer):
+        backend = MockBackend("imitate", lexicon=LEXICON)
+        for k in range(len(rows) + 1):
+            assert memo_read(backend, 0, tuple(rows[:k]), 0) == fresh_read(tuple(rows[:k]), 0)
+        assert fresh_read(tuple(rows), 0)[2] == answer
+
     def test_threads_sharing_one_memo_read_whole_tables(self):
         # many threads grow, shrink and re-read one agent's history through
-        # one mock; a memo entry changed after it was stored would corrupt tallies
+        # one mock; a memo entry changed after it was stored would corrupt
+        # tallies or the answer kept beside them
         rows = tuple((r, "#own", f"#n{r * 7 % 5}") for r in range(1, 41))
-        expected = [fresh_read(rows[:k], 0)[:2] for k in range(41)]
+        expected = [fresh_read(rows[:k], 0) for k in range(41)]
         backend = MockBackend("imitate", lexicon=LEXICON)
         wrong = []
 
         def work(worker):
             for k in random.Random(worker).choices(range(41), k=1500):
-                if backend._tallies(0, rows[:k]) != expected[k]:
+                counts, last_seen, kept = backend._tallies(0, rows[:k])
+                answer = backend.respond(request(2, 0, rows[:k]), rng(0)).raw_text
+                if (counts, last_seen, answer) != expected[k] or kept != (answer if k else None):
                     wrong.append(k)
 
         interval = sys.getswitchinterval()
@@ -236,9 +260,9 @@ class TestMockMemo:
         tallied = []
         tally = agents._tally
 
-        def counting(new_rows, counts, last_seen):
+        def counting(new_rows, counts, last_seen, best):
             tallied.extend(new_rows)
-            tally(new_rows, counts, last_seen)
+            return tally(new_rows, counts, last_seen, best)
 
         monkeypatch.setattr(agents, "_tally", counting)
         backend = MockBackend("imitate", lexicon=["#z"])

@@ -443,6 +443,35 @@ class TestMetrics:
             assert err.startswith("warning: ") and err.count("\n") == 1
             assert recorded in err and digest in err and recorded != digest
 
+    def test_all_fallback_round_excluded_names_the_round_once(self, tmp_path, capsys):
+        config = write_config(tmp_path, small_mock_doc(
+            agents={"backend": "mock", "count": 6, "params": {"strategy": "constant:!!!"}}))
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+        capsys.readouterr()
+        code = run_cli("metrics", str(tmp_path / "run" / "transcript.jsonl"), "--config", str(config),
+                       "--out", str(tmp_path / "m"), "--exclude-fallbacks")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: round 1 has no responses after exclusions\n"
+
+    def test_partial_last_round_is_refused_and_still_replays(self, demo_config_path, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_dir)) == EXIT_OK
+        lines = (run_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        first_of_round_3 = next(i for i, line in enumerate(lines) if i and json.loads(line)["round"] == 3)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[:first_of_round_3 + 1]), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["metrics", str(cut), "--out", str(tmp_path / "m")],
+                     ["report", str(cut), "--out", str(tmp_path / "r")]):
+            assert run_cli(*argv, "--config", str(demo_config_path)) == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cut}: round 3 is partial") and err.count("\n") == 1
+        assert not (tmp_path / "m" / "entropy.csv").exists() and not (tmp_path / "r").exists()
+        replay = write_config(tmp_path, _replay_doc(demo_config_path, cut, 2))
+        assert run_cli("simulate", "--config", str(replay), "--out", str(tmp_path / "replay")) == EXIT_OK
+        replayed = (tmp_path / "replay" / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert replayed[1:] == lines[1:first_of_round_3]
+
     def test_missing_transcript_is_io_error(self, tmp_path):
         code = run_cli("metrics", str(tmp_path / "nope.jsonl"),
                        "--config", str(FIXTURES / "fixture_config.json"),

@@ -25,6 +25,7 @@ from hashnet import (
     TranscriptError,
     build_prompt,
     load_narrative,
+    metric_series,
     mock_imitate,
     normalize_hashtag,
     parse_response,
@@ -52,10 +53,14 @@ def make_record(round_index, a, b, raw_a, raw_b, fb_a=False, fb_b=False):
 
 
 # Raw hashtags the engine never writes but the reader takes as they are:
-# CSV-hostile and non-ASCII text, and text that normalizes to nothing.
+# CSV-hostile and non-ASCII text, text that normalizes to nothing, and text
+# JSON must escape (quotes, backslashes, control characters) or may leave
+# as is (U+2028, which str.splitlines would split on).
 HOSTILE_RAW = st.one_of(
-    st.sampled_from(["#a", "#A!", "a b", '#x,"y"', "#福島", "#Straße", "###", "", "\r\n", "#noresponse"]),
-    st.text(st.one_of(st.sampled_from('#",\r\n Aa1'), st.characters(blacklist_categories=("Cs",))), max_size=6),
+    st.sampled_from(["#a", "#A!", "a b", '#x,"y"', "#福島", "#Straße", "###", "", "\r\n", "#noresponse",
+                     '#a\\"b', "#a\u2028b", "\x00\x1f\x7f"]),
+    st.text(st.one_of(st.sampled_from('#",\r\n Aa1\\\u2028\x00'), st.characters(blacklist_categories=("Cs",))),
+            max_size=6),
 )
 
 
@@ -796,6 +801,38 @@ class TestTranscriptIO:
         for record in reloaded.records:
             for tag in (record.hashtag_a, record.hashtag_b):
                 assert shared.setdefault(tag, tag) is tag  # one object per (raw, normalized) pair
+
+    @given(hostile_transcripts())
+    @settings(max_examples=100, deadline=None)
+    def test_record_line_is_json_dumps_of_its_dict(self, transcript):
+        lines = [record.to_json() for record in transcript.records]
+        assert lines == [json.dumps(record.to_dict(), ensure_ascii=False) for record in transcript.records]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.jsonl")
+            write_transcript(transcript, path)
+            assert path.read_text(encoding="utf-8").split("\n")[1:] == [*lines, ""]
+            reloaded = read_transcript(path)
+        assert reloaded.records == transcript.records
+        assert not reloaded.partial
+
+    def test_partial_last_round_is_flagged_and_not_completed(self, tmp_path):
+        # each round's pairs are a maximal matching, so every cut inside the
+        # last round leaves two neighbors unpaired; a cut between rounds does not
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=20, rounds=4, seed=7), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        round_4 = [i for i, line in enumerate(lines) if i and json.loads(line)["round"] == 4]
+        assert len(round_4) > 2
+        cut = tmp_path / "cut.jsonl"
+        for end in range(round_4[0], round_4[-1] + 2):
+            cut.write_text("".join(lines[:end]), encoding="utf-8")
+            transcript = read_transcript(cut)
+            whole = end in (round_4[0], round_4[-1] + 1)
+            assert transcript.partial is not whole, end
+            assert transcript.rounds_completed() == (4 if end > round_4[-1] else 3), end
+            assert len(transcript.records) == end - 1  # a partial round's records are kept
+            assert [r for r, _ in metric_series(transcript, "entropy").values] == list(
+                range(1, transcript.rounds_completed() + 1))
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
