@@ -30,6 +30,7 @@ from .errors import (
     EmbedderUnavailableError,
     HashnetError,
     NarrativeLoadError,
+    TranscriptError,
     is_integer,
     is_number,
 )
@@ -146,6 +147,15 @@ def load_config(path: Path) -> tuple[dict, Path]:
     return doc, path.resolve().parent
 
 
+def _transcript_problem(path: Path) -> str | None:
+    """Why ``read_transcript`` refuses the file at ``path``, or None when it reads it."""
+    try:
+        read_transcript(path)
+    except TranscriptError as err:
+        return str(err)
+    return None
+
+
 def _parse(
     doc: dict, base_dir: Path, args: argparse.Namespace | None
 ) -> tuple[LoadedConfig | None, list[tuple[str, str]]]:
@@ -156,7 +166,8 @@ def _parse(
     values; this function checks only the document's shape: unknown keys
     (backend ``params`` and ``metrics.embedding`` keys are checked where
     they are read), sections that are not objects, the ``agents``
-    expansion, paths that must exist, and whether the narrative loads.
+    expansion, paths that must exist, whether each replay transcript reads,
+    and whether the narrative loads.
     CLI overrides in ``args`` are applied before the checks.
     """
     if not isinstance(doc, dict):
@@ -207,15 +218,20 @@ def _parse(
         )
         entries = []
     agents = []
+    replay_problems: dict[Path, str | None] = {}  # each replay transcript is read once
     for entry in entries:
         params = section(entry, "params", f"agents[{entry['agent_id']}].params")
         source = params.get("transcript") if entry.get("backend") == "replay" else None
         if isinstance(source, str) and source:
             resolved = _resolve(base_dir, source)
+            field_path = f"agents[{entry['agent_id']}].backend_params.transcript"
             if not resolved.is_file():
-                violations.append(
-                    (f"agents[{entry['agent_id']}].backend_params.transcript", f"replay transcript not found: {source}")
-                )
+                violations.append((field_path, f"replay transcript not found: {source}"))
+            else:
+                if resolved not in replay_problems:
+                    replay_problems[resolved] = _transcript_problem(resolved)
+                if replay_problems[resolved]:
+                    violations.append((field_path, replay_problems[resolved]))
             params = dict(params, transcript=str(resolved))
         agents.append(AgentSpec(entry["agent_id"], entry.get("backend"), params))
 

@@ -208,9 +208,10 @@ class InteractionRecord(NamedTuple):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
-        """The record a JSON value describes; TranscriptError when it, or one
-        of its hashtags, is not an object or lacks a field, or when a
-        hashtag's ``normalized`` is not ``normalize_hashtag`` of its ``raw``."""
+        """The record a JSON value describes; TranscriptError when it fails a
+        check ``read_transcript`` makes of each record line on its own: shape
+        and fields, JSON types, ``unavailable_*`` flags only on fallback sides,
+        points against ``match``, and each hashtag's normalized form."""
         return _record(doc, {})
 
 
@@ -237,13 +238,30 @@ def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecor
         raise TranscriptError(f"record must be a JSON object, got {doc!r}")
     try:
         tag_a, tag_b = _hashtag(doc, "hashtag_a", tags), _hashtag(doc, "hashtag_b", tags)
-        return InteractionRecord(
+        record = InteractionRecord(
             doc["round"], doc["agent_a"], doc["agent_b"], doc["raw_a"], doc["raw_b"], tag_a, tag_b,
             doc["match"], doc["points_a"], doc["points_b"], doc["fallback_a"], doc["fallback_b"],
             doc.get("unavailable_a", False), doc.get("unavailable_b", False),
         )
     except KeyError as err:
         raise TranscriptError(f"record missing field {err}") from err
+    # JSON numbers decode to int or float and true/false to bool, never to subclasses.
+    for key in ("round", "agent_a", "agent_b", "points_a", "points_b"):
+        if type(doc[key]) is not int:
+            raise TranscriptError(f"{key} must be an integer, got {doc[key]!r}")
+    for key in ("match", "fallback_a", "fallback_b"):
+        if type(doc[key]) is not bool:
+            raise TranscriptError(f"{key} must be true or false, got {doc[key]!r}")
+    if "unavailable_a" in doc or "unavailable_b" in doc:
+        for key, fallback in (("unavailable_a", "fallback_a"), ("unavailable_b", "fallback_b")):
+            if key in doc and doc[key] is not True:
+                raise TranscriptError(f"{key} must be true if present, got {doc[key]!r}")
+            if key in doc and not doc[fallback]:
+                raise TranscriptError(f"{key} on a side whose {fallback} is false")
+    for key in ("points_a", "points_b"):
+        if doc[key] != (1 if record.match else 0):
+            raise TranscriptError(f"{key} {doc[key]!r} contradicts match {doc['match']!r}")
+    return record
 
 
 def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hashtag:
@@ -311,106 +329,88 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    """Parse a transcript file, checking that the header and every record
-    are JSON objects with the record fields, that ``round``, ``agent_a``,
-    ``agent_b`` and the points are integers and ``match`` and the fallback
-    flags booleans, that an ``unavailable_*`` key is true and on a fallback
-    side, that each pair is an edge of the header's ``network_edges``, that
-    each side's points are 1 on a match and 0 otherwise, that ``match``
-    agrees with the header config's ``match_on`` (normalized by default),
-    that rounds run contiguously from 1 and that (round, agent_a) strictly
-    increases from record to record.
+    """Parse a transcript file and check it in one pass.
 
-    Each hashtag's ``normalized`` must be ``normalize_hashtag`` of its
-    ``raw``. The check runs once per distinct (raw, normalized) pair; every
-    record holding that pair then shares one ``Hashtag``.
+    Each record line passes ``InteractionRecord.from_dict``'s checks, and
+    the header must be a JSON object. The reader adds the checks that need
+    the header or earlier records: each pair is an edge of the header's
+    ``network_edges``, ``match`` agrees with the header config's
+    ``match_on`` (normalized by default), rounds run contiguously from 1 and
+    (round, agent_a) strictly increases from record to record. Each
+    distinct (raw, normalized) hashtag pair is checked once; every record
+    holding that pair then shares one ``Hashtag``.
 
-    A round's pairs are a maximal matching of the network, so an edge whose
-    two ends are both unpaired in the last round means records of that
-    round are missing: the transcript is returned with ``partial`` set."""
+    A round's pairs are a maximal matching of the network: no agent is
+    paired twice, and no two neighbors are both left unpaired. Two such
+    neighbors in an earlier round are an error naming them; in the last
+    round they mean records of that round are missing, as in a file cut
+    mid-round, and the transcript is returned with ``partial`` set."""
     header: dict | None = None
     tags: dict[tuple[str, str], Hashtag] = {}
-    edges: set[tuple[int, int]] = set()
+    adjacency: dict[int, set[int]] = {}
     match_on = "normalized"
     records: list[InteractionRecord] = []
     abort: dict | None = None
-    # A record either opens the next round or follows the last agent_a.
-    last_round, last_agent = 0, float("inf")
+    # A record either opens the next round or follows the last agent_a;
+    # ``paired`` holds the agents of the current round's records so far.
+    last_round, last_agent, paired = 0, float("inf"), set()
     with open(path, encoding="utf-8") as handle:
         for i, line in enumerate(handle):
             if line.isspace():
                 continue
             try:
                 doc = _decode(line)
+                if i == 0:
+                    if not isinstance(doc, dict):
+                        raise TranscriptError(f"header must be a JSON object, got {doc!r}")
+                    header = doc
+                    try:
+                        for a, b in header.get("network_edges", []):
+                            adjacency.setdefault(a, set()).add(b)
+                            adjacency.setdefault(b, set()).add(a)
+                    except (TypeError, ValueError) as err:
+                        raise TranscriptError("network_edges must be a list of [a, b] pairs") from err
+                    if isinstance(header.get("config"), dict):
+                        match_on = header["config"].get("match_on", match_on)
+                    if match_on not in ("normalized", "raw"):
+                        raise TranscriptError(f"match_on must be 'normalized' or 'raw', got {match_on!r}")
+                elif isinstance(doc, dict) and doc.get("abort"):
+                    abort = doc
+                else:
+                    record = _record(doc, tags)
+                    a, b = record.agent_a, record.agent_b
+                    if b not in adjacency.get(a, ()):
+                        raise TranscriptError(f"pair ({a}, {b}) is not an edge of the header's network_edges")
+                    if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
+                        raise TranscriptError(f"match {doc['match']!r} contradicts the {match_on} forms of "
+                                              f"{doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
+                    if record.round == last_round + 1:
+                        if last_round and (stranded := _stranded(adjacency, paired)):
+                            raise TranscriptError(f"round {last_round} is missing records: neighbors "
+                                                  f"{stranded[0]} and {stranded[1]} are both unpaired")
+                        paired = set()
+                    elif record.round != last_round or a <= last_agent:
+                        raise TranscriptError(f"round {record.round!r}, agent_a {a!r} is out of order; rounds run "
+                                              "contiguously from 1 and (round, agent_a) strictly increases")
+                    if a in paired or b in paired:
+                        raise TranscriptError(
+                            f"agent {a if a in paired else b} is paired twice in round {record.round}")
+                    paired.update((a, b))
+                    last_round, last_agent = record.round, a
+                    records.append(record)
             except json.JSONDecodeError as err:
                 raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
-            if i == 0:
-                if not isinstance(doc, dict):
-                    raise TranscriptError(f"{path}: line 1: header must be a JSON object, got {doc!r}")
-                header = doc
-                try:
-                    edges = {pair for a, b in header.get("network_edges", []) for pair in ((a, b), (b, a))}
-                except (TypeError, ValueError) as err:
-                    raise TranscriptError(f"{path}: line 1: network_edges must be a list of [a, b] pairs") from err
-                if isinstance(header.get("config"), dict):
-                    match_on = header["config"].get("match_on", match_on)
-                if match_on not in ("normalized", "raw"):
-                    raise TranscriptError(f"{path}: line 1: match_on must be 'normalized' or 'raw', got {match_on!r}")
-            elif isinstance(doc, dict) and doc.get("abort"):
-                abort = doc
-            else:
-                try:
-                    record = _record(doc, tags)
-                except TranscriptError as err:
-                    raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
-                # JSON numbers decode to int or float and true/false to bool, never to subclasses.
-                for key in ("round", "agent_a", "agent_b", "points_a", "points_b"):
-                    if type(doc[key]) is not int:
-                        raise TranscriptError(f"{path}: line {i + 1}: {key} must be an integer, got {doc[key]!r}")
-                for key in ("match", "fallback_a", "fallback_b"):
-                    if type(doc[key]) is not bool:
-                        raise TranscriptError(f"{path}: line {i + 1}: {key} must be true or false, got {doc[key]!r}")
-                if "unavailable_a" in doc or "unavailable_b" in doc:
-                    for key, fallback in (("unavailable_a", "fallback_a"), ("unavailable_b", "fallback_b")):
-                        if key in doc and doc[key] is not True:
-                            raise TranscriptError(
-                                f"{path}: line {i + 1}: {key} must be true if present, got {doc[key]!r}"
-                            )
-                        if key in doc and not doc[fallback]:
-                            raise TranscriptError(f"{path}: line {i + 1}: {key} on a side whose {fallback} is false")
-                if (record.agent_a, record.agent_b) not in edges:
-                    raise TranscriptError(
-                        f"{path}: line {i + 1}: pair ({record.agent_a}, {record.agent_b}) is not an edge of the "
-                        "header's network_edges"
-                    )
-                for key in ("points_a", "points_b"):
-                    if getattr(record, key) != (1 if record.match else 0):
-                        raise TranscriptError(
-                            f"{path}: line {i + 1}: {key} {doc[key]!r} contradicts match {doc['match']!r}"
-                        )
-                if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
-                    raise TranscriptError(f"{path}: line {i + 1}: match {doc['match']!r} contradicts the {match_on} "
-                                          f"forms of {doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
-                if not (record.round == last_round + 1 or (record.round == last_round and record.agent_a > last_agent)):
-                    raise TranscriptError(
-                        f"{path}: line {i + 1}: round {record.round!r}, agent_a {record.agent_a!r} is out of "
-                        "order; rounds run contiguously from 1 and (round, agent_a) strictly increases"
-                    )
-                last_round, last_agent = record.round, record.agent_a
-                records.append(record)
+            except TranscriptError as err:
+                raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
-    return Transcript(header=header, records=records, abort=abort, partial=_last_round_partial(header, records))
+    return Transcript(header, records, abort, partial=bool(records) and _stranded(adjacency, paired) is not None)
 
 
-def _last_round_partial(header: dict, records: list[InteractionRecord]) -> bool:
-    """Whether an edge of ``network_edges`` has both ends unpaired in the last round of ``records``."""
-    paired: set[int] = set()
-    for record in reversed(records):
-        if record.round != records[-1].round:
-            break
-        paired.update((record.agent_a, record.agent_b))
-    return bool(records) and any(a not in paired and b not in paired for a, b in header["network_edges"])
+def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, int] | None:
+    """Two neighbors that the agents in ``paired`` leave both unpaired, or
+    None; only the unpaired agents' neighbor sets are visited."""
+    return next(((agent, other) for agent in adjacency.keys() - paired for other in adjacency[agent] - paired), None)
 
 
 # One encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False).
@@ -424,7 +424,7 @@ def _decode(line: str):
     invalid JSON) goes to ``json.loads`` itself, which reads or rejects it."""
     try:
         doc, end = _raw_decode(line)
-        if end == len(line) or line[end:].isspace():
+        if not line[end:].strip(" \t\n\r"):  # the whitespace JSON allows after a value
             return doc
     except json.JSONDecodeError:
         pass

@@ -78,13 +78,11 @@ class AlignmentResult:
 
 def _rounds(transcript: Transcript) -> list[list[InteractionRecord]]:
     """Records of rounds 1..rounds_completed(), grouped by round in one
-    pass over the records; a round without records gets an empty list, and
-    a partial last round is left out."""
+    pass over the records; a round without records gets an empty list."""
     grouped: dict[int, list[InteractionRecord]] = {}
     for record in transcript.records:
         grouped.setdefault(record.round, []).append(record)
-    last = max(grouped, default=0) - transcript.partial
-    return [grouped.get(round_index, []) for round_index in range(1, last + 1)]
+    return [grouped.get(round_index, []) for round_index in range(1, transcript.rounds_completed() + 1)]
 
 
 def _responses(

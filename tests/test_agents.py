@@ -274,8 +274,9 @@ class TestMockMemo:
 
 class TestReplayBackend:
     def _write_transcript(self, path):
-        # Agents 3 and 5 meet in round 7; agents 0 and 1 fill rounds 1-6,
-        # since the reader requires rounds contiguous from 1.
+        # Agents 3 and 5 meet in round 7; rounds 1-6 come first, since the
+        # reader requires rounds contiguous from 1, and every round pairs
+        # both edges, since each round's pairs are a maximal matching.
         header = {"run_id": "t", "config": {}, "seed": 0, "narrative_id": "x",
                   "network_edges": [[0, 1], [3, 5]], "timestamp": "1970-01-01T00:00:00Z"}
 
@@ -289,8 +290,8 @@ class TestReplayBackend:
                 "fallback_a": False, "fallback_b": False,
             }
 
-        records = [record(r, 0, 1, "#Filler", "#Other") for r in range(1, 7)]
-        records.append(record(7, 3, 5, "#Setsuden", "#Other"))
+        records = [record(r, a, b, "#Filler", "#Other") for r in range(1, 7) for a, b in ((0, 1), (3, 5))]
+        records += [record(7, 0, 1, "#Filler", "#Other"), record(7, 3, 5, "#Setsuden", "#Other")]
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(header) + "\n")
             for doc in records:

@@ -179,7 +179,14 @@ def _constant_agents(n, **first_agent):
         "agents[0].backend_params.max_retries",
     ),
     (small_mock_doc(), ["--parallelism", "0"], "parallelism"),
-], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero"])
+    (
+        small_mock_doc(agents={"backend": "replay", "count": 6,
+                               "params": {"transcript": str(FIXTURES / "replay_missing_hashtag_a.jsonl")}}),
+        [],
+        "agents[0].backend_params.transcript",
+    ),
+], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero",
+        "replay-record-missing-a-field"])
 def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
     path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
@@ -297,7 +304,8 @@ def _replay_doc(demo_config_path, transcript_path, rounds):
 
 
 class TestReplayFailures:
-    """A replay that cannot go on ends in an ``error:`` line and exit 1."""
+    """A replay that cannot go on ends in an ``error:`` line and exit 1; one
+    whose source transcript does not read is refused before it starts."""
 
     def _assert_reported(self, capsys, code):
         err = capsys.readouterr().err
@@ -322,8 +330,13 @@ class TestReplayFailures:
         torn = tmp_path / "torn.jsonl"
         torn.write_bytes((source / "transcript.jsonl").read_bytes()[:-20])
         config = write_config(tmp_path, _replay_doc(demo_config_path, torn, 40))
+        capsys.readouterr()
         code = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "replay"))
-        assert "invalid JSON" in self._assert_reported(capsys, code)
+        assert code == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out.startswith("invalid:") and err == ""
+        assert f"  agents[0].backend_params.transcript: {torn}: line " in out and "invalid JSON" in out
+        assert not (tmp_path / "replay" / "transcript.jsonl").exists()
 
 
 class TestMetrics:
@@ -471,6 +484,21 @@ class TestMetrics:
         assert run_cli("simulate", "--config", str(replay), "--out", str(tmp_path / "replay")) == EXIT_OK
         replayed = (tmp_path / "replay" / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         assert replayed[1:] == lines[1:first_of_round_3]
+
+    def test_record_lost_mid_file_is_refused(self, demo_config_path, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(run_dir)) == EXIT_OK
+        lines = (run_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        round_5 = [i for i, line in enumerate(lines) if i and json.loads(line)["round"] == 5]
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(lines[:round_5[2]] + lines[round_5[2] + 1:]), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli("metrics", str(cut), "--config", str(demo_config_path), "--out", str(tmp_path / "m"))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cut}: line {round_5[-1] + 1}: round 5 is missing records: neighbors ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m" / "entropy.csv").exists()
 
     def test_missing_transcript_is_io_error(self, tmp_path):
         code = run_cli("metrics", str(tmp_path / "nope.jsonl"),

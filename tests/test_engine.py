@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -488,6 +489,28 @@ class TestRunSimulation:
         histories = extend_histories({}, transcript.records)
         assert sum(len(h) for h in histories.values()) == 8  # 4 rounds x 2 participants
 
+    @given(
+        st.integers(3, 12),
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.integers(1, 6),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_written_round_reads_back_whole(self, n, k, p, rounds, seed, parallelism):
+        # the reader checks each round is a maximal matching with no agent
+        # paired twice; no legal run may trip that check
+        assume(k < n)
+        config = make_mock_config(n=n, k=k, p=p, rounds=rounds, seed=seed, parallelism=parallelism)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.jsonl")
+            written = run_simulation(config, out_path=path)
+            transcript = read_transcript(path)
+        assert not transcript.partial
+        assert transcript.records == written.records
+        assert transcript.rounds_completed() == rounds
+
 
 class TestAgentRng:
     @staticmethod
@@ -727,17 +750,20 @@ class TestTranscriptIO:
          "line 3: unavailable_b must be true if present, got False"),
         (1, lambda doc: {**doc, "fallback_a": False, "unavailable_a": True},
          "line 2: unavailable_a on a side whose fallback_a is false"),
+        (1, lambda doc: json.dumps(doc) + "\x0c", "line 2: invalid JSON"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
             "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
             "header-unknown-match_on", "hashtag_a-normalized-zzz", "hashtag_b-normalized-capital",
             "fallback_a-string", "fallback_b-zero", "match-one", "points_a-true", "points_b-float",
-            "unavailable_a-string", "unavailable_b-false", "unavailable_a-without-fallback"])
+            "unavailable_a-string", "unavailable_b-false", "unavailable_a-without-fallback",
+            "form-feed-after-the-value"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        edited = edit(json.loads(lines[line]))
+        lines[line] = edited if isinstance(edited, str) else json.dumps(edited)  # a str is the line itself
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(TranscriptError, match=message) as caught:
             read_transcript(path)
@@ -833,6 +859,47 @@ class TestTranscriptIO:
             assert len(transcript.records) == end - 1  # a partial round's records are kept
             assert [r for r, _ in metric_series(transcript, "entropy").values] == list(
                 range(1, transcript.rounds_completed() + 1))
+
+    def test_record_lost_before_the_last_round_is_rejected(self, tmp_path):
+        # a lost record leaves its two agents, who are neighbors, unpaired
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=20, rounds=4, seed=7), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cut = tmp_path / "cut.jsonl"
+        for i in range(1, len(lines)):
+            lost_round = json.loads(lines[i])["round"]
+            if lost_round == 4:
+                break
+            cut.write_text("".join(lines[:i] + lines[i + 1:]), encoding="utf-8")
+            opener = next(j for j in range(i + 1, len(lines)) if json.loads(lines[j])["round"] == lost_round + 1)
+            with pytest.raises(TranscriptError, match=rf"line {opener}: round {lost_round} is missing records: "
+                                                      r"neighbors \d+ and \d+ are both unpaired"):
+                read_transcript(cut)
+
+    def test_agent_paired_twice_in_a_round_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_transcript(Transcript(header={"network_edges": [[0, 1], [1, 2]]},
+                                    records=[make_record(1, 0, 1, "#a", "#b"), make_record(1, 1, 2, "#a", "#b")]), path)
+        with pytest.raises(TranscriptError, match=r"line 3: agent 1 is paired twice in round 1$"):
+            read_transcript(path)
+
+    def test_record_checks_are_shared_with_from_dict(self, tmp_path):
+        # each record check of the reader also runs in from_dict, with the same message
+        doc = make_record(1, 0, 1, "#a", "#b", fb_a=True).to_dict()
+        header = {"network_edges": [[0, 1]]}
+        for key, value, message in [("round", "1", "round must be an integer, got '1'"),
+                                    ("points_a", True, "points_a must be an integer, got True"),
+                                    ("fallback_b", "no", "fallback_b must be true or false, got 'no'"),
+                                    ("unavailable_a", "yes", "unavailable_a must be true if present, got 'yes'"),
+                                    ("points_b", 1, "points_b 1 contradicts match False")]:
+            bad = {**doc, key: value}
+            with pytest.raises(TranscriptError, match=f"^{message}$"):
+                InteractionRecord.from_dict(bad)
+            path = tmp_path / "t.jsonl"
+            path.write_text(f"{json.dumps(header)}\n{json.dumps(bad)}\n", encoding="utf-8")
+            with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: line 2: {message}$"):
+                read_transcript(path)
+        assert InteractionRecord.from_dict(doc) == make_record(1, 0, 1, "#a", "#b", fb_a=True)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
