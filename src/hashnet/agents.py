@@ -8,9 +8,12 @@ never mutates the prompt and stores the returned text byte-exact.
 The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table), written by one csv.writer. The helpers here
 define that wire format, and ``render_prompt`` the whole prompt around it.
-A request carries the table's rows as values and renders its prompt from
-them only when a backend reads it: the remote backend does, once per call;
-an imitate mock reads the rows, and the other backends read neither.
+A request carries the table's rows as a ``History`` snapshot and renders
+its prompt from them only when a backend reads it: the remote backend
+does, once per call; an imitate mock reads the rows, and the other
+backends read neither. Snapshots of one agent share one append-only row
+list, so an imitate mock proves in constant time that a history extends
+the rows it has already tallied, and tallies only the rows past them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import csv
 import itertools
 import os
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
 import numpy as np
 
@@ -89,31 +93,86 @@ class AgentSpec(Checked):
         return []
 
 
-@dataclass(frozen=True)
-class BackendRequest:
+@Sequence.register
+class History:
+    """An agent's (round, own raw hashtag, neighbor raw hashtag) rows from
+    earlier rounds: an immutable snapshot of the first ``length`` rows of
+    an append-only list, which the agent's later snapshots share.
+
+    ``extended`` appends one row in O(1) when this is the newest snapshot
+    of its list; extending an older snapshot, or an empty one, first copies
+    the prefix into a new list, so no snapshot ever changes. Extending is
+    not safe from two threads at once; reading is. A snapshot reads as a
+    read-only sequence: ``len``, iteration, indexing, slices (as tuples)
+    and ``==`` against any sequence of the same rows other than a string.
+    It is unhashable, like a list: hashing it raises ``TypeError``.
+    """
+
+    __slots__ = ("rows", "length")
+    __hash__ = None
+
+    def __init__(self, rows: Iterable[tuple[int, str, str]] = ()):
+        self.rows = list(rows)
+        self.length = len(self.rows)
+
+    def extended(self, row: tuple[int, str, str]) -> "History":
+        """This history with ``row`` appended."""
+        rows, length = self.rows, self.length
+        if not length or len(rows) != length:
+            rows = rows[:length]
+        rows.append(row)
+        snapshot = object.__new__(History)
+        snapshot.rows, snapshot.length = rows, length + 1
+        return snapshot
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[tuple[int, str, str]]:
+        return itertools.islice(self.rows, self.length)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self.rows[:self.length][key])
+        return self.rows[range(self.length)[key]]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, History) and other.rows is self.rows:
+            return other.length == self.length
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(other) == self.length and self.rows[:self.length] == list(other)
+
+    def __repr__(self) -> str:
+        return f"History({self.rows[:self.length]!r})"
+
+
+NO_HISTORY = History()
+
+
+class BackendRequest(NamedTuple):
     """One agent's turn in one round.
 
-    ``history`` holds the agent's (round, own guess, neighbor guess) rows
-    from earlier rounds, and ``event_text`` the narrative's full text.
-    ``prompt`` renders the prompt from them on each access, so a backend
-    that never reads it costs nothing: an imitate mock reads ``history``,
-    the remote backend reads ``prompt`` once per call, and a replay reads
-    neither.
+    ``history`` holds the agent's rows from earlier rounds: the engine
+    passes a ``History`` snapshot, and any sequence of rows reads the same.
+    ``event_text`` is the narrative's full text. ``prompt`` renders the
+    prompt from them on each access, so a backend that never reads it costs
+    nothing: an imitate mock reads ``history``, the remote backend reads
+    ``prompt`` once per call, and a replay reads neither.
     """
 
     round: int
     agent_id: int
     event_text: str
     decode: DecodeParams = DecodeParams()
-    history: tuple[tuple[int, str, str], ...] = ()
+    history: Sequence[tuple[int, str, str]] = NO_HISTORY
 
     @property
     def prompt(self) -> str:
         return render_prompt(self.round, self.history, self.event_text)
 
 
-@dataclass(frozen=True)
-class BackendResponse:
+class BackendResponse(NamedTuple):
     raw_text: str
     latency_ms: float = 0.0
     attempt: int = 1
@@ -124,7 +183,10 @@ class Backend(Protocol):
         """Answer one request. ``rng`` is this agent's generator for the
         round; the engine passes a generator-like handle that builds it on
         the first draw, and ``req.prompt`` is rendered on access, so a call
-        that neither draws nor reads the prompt pays for neither."""
+        that neither draws nor reads the prompt pays for neither. Calls
+        within a round may run on pool threads at once: they read
+        ``req.history``, whose row list the engine extends only between
+        rounds, and must not change it."""
         ...
 
 
@@ -239,8 +301,10 @@ class MockBackend:
     An imitate mock reads its history from the request's rows. It keeps,
     per agent, the rows it has read, their tallies and the answer they give;
     when the next history extends those rows, only the new rows are
-    tallied, each updating the answer in constant time. The answer is
-    always ``mock_imitate`` over the whole history.
+    tallied, each updating the answer in constant time. A ``History`` that
+    shares the kept snapshot's row list extends it exactly when it is no
+    shorter, a constant-time check; any other history is compared row by
+    row. The answer is always ``mock_imitate`` over the whole history.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -250,7 +314,7 @@ class MockBackend:
             raise ConfigError("lexicon", "must be a list of strings")
         self._constant: str | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
-        self._memo: dict[int, tuple[tuple, dict[str, int], dict[str, int], str | None]] = {}
+        self._memo: dict[int, tuple[Sequence, dict[str, int], dict[str, int], str | None]] = {}
         if not isinstance(strategy, str):
             raise ConfigError("strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
@@ -265,20 +329,25 @@ class MockBackend:
 
     def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
         if self._constant is not None:
-            return BackendResponse(raw_text=self._constant)
+            return BackendResponse(self._constant)
         best = self._tallies(req.agent_id, req.history)[2]
-        return BackendResponse(raw_text=_imitate({}, {}, self._lexicon, rng) if best is None else best)
+        return BackendResponse(_imitate({}, {}, self._lexicon, rng) if best is None else best)
 
     def _tallies(
-        self, agent_id: int, history: tuple[tuple[int, str, str], ...]
+        self, agent_id: int, history: Sequence[tuple[int, str, str]]
     ) -> tuple[dict[str, int], dict[str, int], str | None]:
         """Tallies of ``history`` and its answer (None for no rows), tallying
         only the rows past what this agent's memo covers, and the memo
         brought up to date."""
         seen, counts, last_seen, best = self._memo.get(agent_id, ((), {}, {}, None))
-        if history[:len(seen)] != seen:
+        if isinstance(history, History) and isinstance(seen, History) and history.rows is seen.rows:
+            # The list only grows, so its first seen.length rows are still seen's.
+            stale = seen.length > history.length
+        else:
+            stale = bool(seen) and history[:len(seen)] != seen
+        if stale:
             seen, counts, last_seen, best = (), {}, {}, None
-        rows = history[len(seen):]
+        rows = history.rows[len(seen):history.length] if isinstance(history, History) else history[len(seen):]
         if rows:
             counts, last_seen = dict(counts), dict(last_seen)
             best = _tally(rows, counts, last_seen, best)

@@ -2,6 +2,9 @@
 fold over the committed records, shared with ``build_prompt``), dispatch to
 backends, parse and normalize responses, score pairs, and write the
 transcript through the one line writer ``write_transcript`` also uses.
+The fold keeps each agent's history as a ``History`` snapshot of one
+append-only row list, so a round's fold appends one row per paired agent
+in constant time, and a request carries its snapshot without a copy.
 ``read_transcript`` reads a transcript back and checks it in one pass; it
 checks each distinct (raw, normalized) hashtag pair against
 ``normalize_hashtag`` once, and every record holding that pair shares one
@@ -24,13 +27,15 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import rng as rng_streams
 from .agents import (
+    NO_HISTORY,
     AgentSpec,
     BackendRequest,
     DecodeParams,
+    History,
     build_backends,
     render_interaction_table,  # not called here; kept as a binding the benchmark's tracer wraps
     render_prompt,
@@ -46,7 +51,6 @@ WORD_CAP = 5
 PARSE_CACHE_SIZE = 4096
 FALLBACK_SENTINEL = "#noresponse"
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
-History = tuple[tuple[int, str, str], ...]  # an agent's (round, own raw hashtag, neighbor raw hashtag) rows
 
 
 def normalize_hashtag(text: str) -> str:
@@ -151,7 +155,7 @@ def build_prompt(
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     histories = extend_histories({}, (record for record in transcript.records if record.round < round_index))
-    return render_prompt(round_index, histories.get(agent_id, ()), narrative.full_text)
+    return render_prompt(round_index, histories.get(agent_id, NO_HISTORY), narrative.full_text)
 
 
 # --- records and transcripts ------------------------------------------------
@@ -313,11 +317,13 @@ class Transcript:
 
 
 def extend_histories(histories: dict[int, History], records: Iterable[InteractionRecord]) -> dict[int, History]:
-    """Append each record's sides to their agents' rows and return ``histories``;
-    the fold of the records before round r is every history at the start of r."""
+    """Extend the history of both agents of each record by one row and return
+    ``histories``; the fold of the records before round r is every history at
+    the start of r. Each extension appends to the agent's row list in O(1),
+    and the snapshots it replaces stay as they were."""
     for record in records:
         for agent, _, own, other in record.sides():
-            histories[agent] = histories.get(agent, ()) + ((record.round, own, other),)
+            histories[agent] = histories.get(agent, NO_HISTORY).extended((record.round, own, other))
     return histories
 
 
@@ -344,7 +350,9 @@ def read_transcript(path: str | Path) -> Transcript:
     paired twice, and no two neighbors are both left unpaired. Two such
     neighbors in an earlier round are an error naming them; in the last
     round they mean records of that round are missing, as in a file cut
-    mid-round, and the transcript is returned with ``partial`` set."""
+    mid-round, and the transcript is returned with ``partial`` set. A file
+    that is not UTF-8 is an error naming the line of its first undecodable
+    byte."""
     header: dict | None = None
     tags: dict[tuple[str, str], Hashtag] = {}
     adjacency: dict[int, set[int]] = {}
@@ -354,57 +362,76 @@ def read_transcript(path: str | Path) -> Transcript:
     # A record either opens the next round or follows the last agent_a;
     # ``paired`` holds the agents of the current round's records so far.
     last_round, last_agent, paired = 0, float("inf"), set()
-    with open(path, encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            if line.isspace():
-                continue
-            try:
-                doc = _decode(line)
-                if i == 0:
-                    if not isinstance(doc, dict):
-                        raise TranscriptError(f"header must be a JSON object, got {doc!r}")
-                    header = doc
-                    try:
-                        for a, b in header.get("network_edges", []):
-                            adjacency.setdefault(a, set()).add(b)
-                            adjacency.setdefault(b, set()).add(a)
-                    except (TypeError, ValueError) as err:
-                        raise TranscriptError("network_edges must be a list of [a, b] pairs") from err
-                    if isinstance(header.get("config"), dict):
-                        match_on = header["config"].get("match_on", match_on)
-                    if match_on not in ("normalized", "raw"):
-                        raise TranscriptError(f"match_on must be 'normalized' or 'raw', got {match_on!r}")
-                elif isinstance(doc, dict) and doc.get("abort"):
-                    abort = doc
-                else:
-                    record = _record(doc, tags)
-                    a, b = record.agent_a, record.agent_b
-                    if b not in adjacency.get(a, ()):
-                        raise TranscriptError(f"pair ({a}, {b}) is not an edge of the header's network_edges")
-                    if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
-                        raise TranscriptError(f"match {doc['match']!r} contradicts the {match_on} forms of "
-                                              f"{doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
-                    if record.round == last_round + 1:
-                        if last_round and (stranded := _stranded(adjacency, paired)):
-                            raise TranscriptError(f"round {last_round} is missing records: neighbors "
-                                                  f"{stranded[0]} and {stranded[1]} are both unpaired")
-                        paired = set()
-                    elif record.round != last_round or a <= last_agent:
-                        raise TranscriptError(f"round {record.round!r}, agent_a {a!r} is out of order; rounds run "
-                                              "contiguously from 1 and (round, agent_a) strictly increases")
-                    if a in paired or b in paired:
-                        raise TranscriptError(
-                            f"agent {a if a in paired else b} is paired twice in round {record.round}")
-                    paired.update((a, b))
-                    last_round, last_agent = record.round, a
-                    records.append(record)
-            except json.JSONDecodeError as err:
-                raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
-            except TranscriptError as err:
-                raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
+    for i, line in enumerate(_utf8_lines(path)):
+        if line.isspace():
+            continue
+        try:
+            doc = _decode(line)
+            if i == 0:
+                if not isinstance(doc, dict):
+                    raise TranscriptError(f"header must be a JSON object, got {doc!r}")
+                header = doc
+                try:
+                    for a, b in header.get("network_edges", []):
+                        adjacency.setdefault(a, set()).add(b)
+                        adjacency.setdefault(b, set()).add(a)
+                except (TypeError, ValueError) as err:
+                    raise TranscriptError("network_edges must be a list of [a, b] pairs") from err
+                if isinstance(header.get("config"), dict):
+                    match_on = header["config"].get("match_on", match_on)
+                if match_on not in ("normalized", "raw"):
+                    raise TranscriptError(f"match_on must be 'normalized' or 'raw', got {match_on!r}")
+            elif isinstance(doc, dict) and doc.get("abort"):
+                abort = doc
+            else:
+                record = _record(doc, tags)
+                a, b = record.agent_a, record.agent_b
+                if b not in adjacency.get(a, ()):
+                    raise TranscriptError(f"pair ({a}, {b}) is not an edge of the header's network_edges")
+                if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
+                    raise TranscriptError(f"match {doc['match']!r} contradicts the {match_on} forms of "
+                                          f"{doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
+                if record.round == last_round + 1:
+                    if last_round and (stranded := _stranded(adjacency, paired)):
+                        raise TranscriptError(f"round {last_round} is missing records: neighbors "
+                                              f"{stranded[0]} and {stranded[1]} are both unpaired")
+                    paired = set()
+                elif record.round != last_round or a <= last_agent:
+                    raise TranscriptError(f"round {record.round!r}, agent_a {a!r} is out of order; rounds run "
+                                          "contiguously from 1 and (round, agent_a) strictly increases")
+                if a in paired or b in paired:
+                    raise TranscriptError(
+                        f"agent {a if a in paired else b} is paired twice in round {record.round}")
+                paired.update((a, b))
+                last_round, last_agent = record.round, a
+                records.append(record)
+        except json.JSONDecodeError as err:
+            raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
+        except TranscriptError as err:
+            raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
     return Transcript(header, records, abort, partial=bool(records) and _stranded(adjacency, paired) is not None)
+
+
+def _utf8_lines(path: str | Path) -> Iterator[str]:
+    """The lines of the text file at ``path``. A file that is not UTF-8
+    raises TranscriptError naming the line of its first undecodable byte."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+            return
+        except UnicodeDecodeError:
+            pass
+    # The stream decodes a chunk ahead of the lines it gives, so its error's
+    # offsets are not the file's; decoding the whole file places the byte.
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line, bad = data.count(b"\n", 0, err.start) + 1, data[err.start:err.end]
+        raise TranscriptError(f"{path}: line {line}: not UTF-8 text ({err.reason} {bad!r})") from err
+    raise TranscriptError(f"{path}: not UTF-8 text")  # the file changed while it was read
 
 
 def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, int] | None:
@@ -572,9 +599,10 @@ def run_simulation(
     }
 
     transcript = Transcript(header=header, records=[])
-    # The fold of the committed records. Requests carry these tuples and
-    # render prompts from them, so pool threads read an immutable snapshot.
-    histories: dict[int, History] = {i: () for i in range(network.n)}
+    # The fold of the committed records. Requests carry these snapshots, and
+    # the fold extends them only after the round's calls have all returned,
+    # so pool threads read row lists that do not change under them.
+    histories: dict[int, History] = {i: NO_HISTORY for i in range(network.n)}
 
     with ExitStack() as stack:
         handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
@@ -590,13 +618,8 @@ def run_simulation(
             participants = [agent for pair in pairing.pairs for agent in pair]
 
             def invoke(agent: int) -> str | None:
-                request = BackendRequest(
-                    round=round_index,
-                    agent_id=agent,
-                    event_text=narrative.full_text,
-                    decode=config.decode,
-                    history=histories[agent],
-                )
+                # Positional arguments, here and in the record below, make the cheaper call.
+                request = BackendRequest(round_index, agent, narrative.full_text, config.decode, histories[agent])
                 agent_rng = rng_streams.LazyAgentRng(config.seed, round_index, agent)
                 try:
                     return backends[agent].respond(request, agent_rng).raw_text
@@ -616,20 +639,8 @@ def run_simulation(
                 match = getattr(tag_a, config.match_on) == getattr(tag_b, config.match_on)
                 points = 1 if match else 0
                 round_records.append(InteractionRecord(
-                    round=round_index,
-                    agent_a=a,
-                    agent_b=b,
-                    raw_a=raw_a,
-                    raw_b=raw_b,
-                    hashtag_a=tag_a,
-                    hashtag_b=tag_b,
-                    match=match,
-                    points_a=points,
-                    points_b=points,
-                    fallback_a=fb_a,
-                    fallback_b=fb_b,
-                    unavailable_a=texts[a] is None,
-                    unavailable_b=texts[b] is None,
+                    round_index, a, b, raw_a, raw_b, tag_a, tag_b, match, points, points, fb_a, fb_b,
+                    texts[a] is None, texts[b] is None,  # unavailable_a, unavailable_b
                 ))
             extend_histories(histories, round_records)
             transcript.records += round_records

@@ -28,6 +28,8 @@ from hashnet import (
 from hashnet import agents
 from hashnet.agents import (
     INTERACTION_TABLE_HEADER,
+    NO_HISTORY,
+    History,
     is_retryable,
     parse_interaction_table,
     render_interaction_table,
@@ -190,6 +192,55 @@ def memo_read(backend, agent, history, seed):
     return counts, last_seen, answer
 
 
+def pick(data, snapshots, label):
+    """An index into ``snapshots``: the newest one often, any one otherwise."""
+    newest = len(snapshots) - 1
+    return data.draw(st.one_of(st.just(newest), st.integers(0, newest)), label=label)
+
+
+_SLICE = st.builds(slice, st.none() | st.integers(-12, 12), st.none() | st.integers(-12, 12),
+                   st.sampled_from([None, 1, 2, -1, -3]))
+
+
+class TestHistory:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_snapshots_read_as_the_tuple_fold(self, data):
+        # each step extends the newest snapshot in place, or forks an older
+        # one or the shared empty one; after all the steps, every snapshot
+        # must still read as the tuple it was made equal to
+        snapshots = [(NO_HISTORY, ()), (History(), ())]
+        for _ in range(data.draw(st.integers(1, 25), label="extends")):
+            history, rows = snapshots[pick(data, snapshots, "base")]
+            row = data.draw(_ROW, label="row")
+            snapshots.append((history.extended(row), rows + (row,)))
+        for history, rows in snapshots:
+            assert len(history) == len(rows) and bool(history) == bool(rows)
+            assert tuple(history) == rows and list(history) == list(rows)
+            if rows:
+                assert history[-1] == rows[-1] and history[0] == rows[0]
+            with pytest.raises(IndexError):
+                history[len(rows)]
+            cut = data.draw(_SLICE, label="slice")
+            assert history[cut] == rows[cut] and type(history[cut]) is tuple
+            assert history == rows and rows == history and history == list(rows) and list(rows) == history
+            assert history == History(rows) and not history != rows
+            assert history != rows + (row,) and history != rows[:-1] + (("x",),) and history != "rows"
+        assert NO_HISTORY.rows == [] and len(NO_HISTORY) == 0 and NO_HISTORY != ""
+
+    def test_extending_the_newest_snapshot_shares_its_list(self):
+        first = NO_HISTORY.extended((1, "#a", "#b"))
+        second = first.extended((2, "#a", "#c"))
+        fork = first.extended((2, "#a", "#d"))
+        assert second.rows is first.rows and fork.rows is not first.rows
+        assert first == [(1, "#a", "#b")] and second[1:] == ((2, "#a", "#c"),) and fork[1:] == ((2, "#a", "#d"),)
+
+    def test_unhashable(self):
+        # a History equals lists as well as tuples, so like a list it has no hash
+        with pytest.raises(TypeError):
+            hash(History([(1, "#a", "#b")]))
+
+
 class TestMockMemo:
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -212,6 +263,22 @@ class TestMockMemo:
             histories[agent] = history
             assert memo_read(backend, agent, history, step) == fresh_read(history, step), history
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_snapshots_forks_and_tuples_read_as_a_full_read(self, data):
+        # one agent's reads mix snapshots extended as the engine's fold
+        # extends them, forks of older snapshots, and plain tuples
+        backend = MockBackend("imitate", lexicon=LEXICON)
+        snapshots = [NO_HISTORY]
+        for step in range(data.draw(st.integers(1, 12), label="steps")):
+            history = snapshots[pick(data, snapshots, "base")]
+            for row in data.draw(st.lists(_ROW, max_size=3), label="rows"):
+                history = history.extended(row)
+            snapshots.append(history)
+            history = snapshots[pick(data, snapshots, "read")]
+            read = history if data.draw(st.booleans(), label="as snapshot") else tuple(history)
+            assert memo_read(backend, 0, read, step) == fresh_read(tuple(history), step), read
+
     @pytest.mark.parametrize("rows, answer", [
         ([(2, "#o", "#b"), (2, "#o", "#a")], "#a"),  # tied on count and round: the smaller guess
         ([(2, "#o", "#a"), (2, "#o", "#b")], "#a"),
@@ -227,17 +294,23 @@ class TestMockMemo:
 
     def test_threads_sharing_one_memo_read_whole_tables(self):
         # many threads grow, shrink and re-read one agent's history through
-        # one mock; a memo entry changed after it was stored would corrupt
-        # tallies or the answer kept beside them
+        # one mock, as tuples or as snapshots of one shared row list; a memo
+        # entry changed after it was stored would corrupt tallies or the
+        # answer kept beside them
         rows = tuple((r, "#own", f"#n{r * 7 % 5}") for r in range(1, 41))
+        snapshots = [NO_HISTORY]
+        for row in rows:
+            snapshots.append(snapshots[-1].extended(row))
         expected = [fresh_read(rows[:k], 0) for k in range(41)]
         backend = MockBackend("imitate", lexicon=LEXICON)
         wrong = []
 
         def work(worker):
-            for k in random.Random(worker).choices(range(41), k=1500):
-                counts, last_seen, kept = backend._tallies(0, rows[:k])
-                answer = backend.respond(request(2, 0, rows[:k]), rng(0)).raw_text
+            draw = random.Random(worker)
+            for k in draw.choices(range(41), k=1500):
+                history = draw.choice((rows[:k], snapshots[k]))
+                counts, last_seen, kept = backend._tallies(0, history)
+                answer = backend.respond(request(2, 0, history), rng(0)).raw_text
                 if (counts, last_seen, answer) != expected[k] or kept != (answer if k else None):
                     wrong.append(k)
 

@@ -185,8 +185,14 @@ def _constant_agents(n, **first_agent):
         [],
         "agents[0].backend_params.transcript",
     ),
+    (
+        small_mock_doc(agents={"backend": "replay", "count": 6,
+                               "params": {"transcript": str(FIXTURES / "replay_utf16.jsonl")}}),
+        [],
+        "agents[0].backend_params.transcript",
+    ),
 ], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero",
-        "replay-record-missing-a-field"])
+        "replay-record-missing-a-field", "replay-transcript-not-utf8"])
 def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
     path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
@@ -484,6 +490,14 @@ class TestMetrics:
         assert run_cli("simulate", "--config", str(replay), "--out", str(tmp_path / "replay")) == EXIT_OK
         replayed = (tmp_path / "replay" / "transcript.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
         assert replayed[1:] == lines[1:first_of_round_3]
+
+    def test_transcript_not_utf8_is_refused(self, demo_config_path, capsys):
+        # a UTF-16 file: its first byte, 0xff, is not UTF-8
+        path = FIXTURES / "replay_utf16.jsonl"
+        code = run_cli("metrics", str(path), "--config", str(demo_config_path))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 1: not UTF-8 text (invalid start byte b'\\xff')\n"
 
     def test_record_lost_mid_file_is_refused(self, demo_config_path, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -36,7 +36,7 @@ from hashnet import (
 )
 from hashnet import agents, engine
 from hashnet import rng as rng_streams
-from hashnet.agents import SCORING_PARAGRAPH, parse_interaction_table
+from hashnet.agents import SCORING_PARAGRAPH, History, parse_interaction_table
 from hashnet.engine import config_digest, config_snapshot, extend_histories
 
 from conftest import FIXTURES, REPO, make_mock_config
@@ -396,6 +396,28 @@ class TestRunSimulation:
             monkeypatch.setattr(owner, name, refuse)
         assert run_simulation(config).records == expected
 
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_mock_memo_never_walks_a_history(self, monkeypatch, parallelism):
+        # each request's history shares its agent's row list with the
+        # snapshot the mock's memo kept, so the memo checks it and tallies
+        # its new row without iterating or slicing a History
+        config = make_mock_config(n=10, rounds=8, seed=6, lexicon=('#say "hi", world', "#x,y", "#plain"),
+                                  parallelism=parallelism)
+        expected = run_simulation(config).records
+        index = History.__getitem__
+
+        def refuse_iter(self):
+            raise AssertionError("a mock run iterated a history")
+
+        def refuse_slice(self, key):
+            if isinstance(key, slice):
+                raise AssertionError("a mock run sliced a history")
+            return index(self, key)
+
+        monkeypatch.setattr(History, "__iter__", refuse_iter)
+        monkeypatch.setattr(History, "__getitem__", refuse_slice)
+        assert run_simulation(config).records == expected
+
     def test_mock_run_never_imports_requests(self):
         # requests loads with the first remote backend, never at import time
         code = (
@@ -693,6 +715,18 @@ class TestTranscriptIO:
         assert header["timestamp"] == "1970-01-01T00:00:00Z"  # deterministic backends
         assert header["run_id"] == config_digest(config_snapshot(config))[:12]
         assert len(header["network_edges"]) == 6 * 4 // 2
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"], ids=["start-byte", "continuation", "truncated"])
+    def test_line_not_utf8_is_named(self, tmp_path, bad):
+        # the bad bytes sit far past the reader's first chunk, inside a string on line 80
+        path = tmp_path / "t.jsonl"
+        write_transcript(run_simulation(make_mock_config(n=6, rounds=30, seed=9)), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) > 80 and len(b"".join(lines[:79])) > 16384
+        lines[79] = lines[79].replace(b'"raw_a": "', b'"raw_a": "' + bad, 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TranscriptError, match=re.escape(f"{path}: line 80: not UTF-8 text (")):
+            read_transcript(path)
 
     def test_noncontiguous_rounds_rejected(self, tmp_path):
         transcript = run_simulation(make_mock_config(n=6, rounds=3, seed=9))
