@@ -293,7 +293,7 @@ class Transcript:
     """Header plus interaction records ordered by (round, agent_a); the
     durable artifact of a run. ``abort`` carries the marker object when a
     run stopped early. ``partial`` is set when records of the last round are
-    missing, as in a file cut mid-round; that round's records are kept."""
+    missing, as in a file cut mid-round; ``records`` keeps them and ``rounds()`` drops them."""
 
     header: dict
     records: list[InteractionRecord]
@@ -304,8 +304,16 @@ class Transcript:
         """The last round with records, or the one before it when that round is partial."""
         return max((r.round for r in self.records), default=0) - self.partial
 
+    def rounds(self) -> list[list[InteractionRecord]]:
+        """Records of rounds 1..rounds_completed(), grouped by round in one
+        pass over the records; a round without records is an empty list."""
+        grouped: dict[int, list[InteractionRecord]] = {}
+        for record in self.records:
+            grouped.setdefault(record.round, []).append(record)
+        return [grouped.get(round_index, []) for round_index in range(1, self.rounds_completed() + 1)]
+
     def records_for_round(self, round_index: int) -> list[InteractionRecord]:
-        return [r for r in self.records if r.round == round_index]
+        return dict(enumerate(self.rounds(), start=1)).get(round_index, [])
 
     def match_rate(self) -> float:
         if not self.records:
@@ -350,9 +358,9 @@ def read_transcript(path: str | Path) -> Transcript:
     paired twice, and no two neighbors are both left unpaired. Two such
     neighbors in an earlier round are an error naming them; in the last
     round they mean records of that round are missing, as in a file cut
-    mid-round, and the transcript is returned with ``partial`` set. A file
-    that is not UTF-8 is an error naming the line of its first undecodable
-    byte."""
+    mid-round, and the transcript is returned with ``partial`` set. An abort
+    marker must be the last line. Lines end in LF or CRLF, and the first bad
+    line in file order is the one named, be it invalid JSON or not UTF-8."""
     header: dict | None = None
     tags: dict[tuple[str, str], Hashtag] = {}
     adjacency: dict[int, set[int]] = {}
@@ -366,6 +374,8 @@ def read_transcript(path: str | Path) -> Transcript:
         if line.isspace():
             continue
         try:
+            if abort is not None:
+                raise TranscriptError("nothing may follow the abort marker")
             doc = _decode(line)
             if i == 0:
                 if not isinstance(doc, dict):
@@ -415,23 +425,15 @@ def read_transcript(path: str | Path) -> Transcript:
 
 
 def _utf8_lines(path: str | Path) -> Iterator[str]:
-    """The lines of the text file at ``path``. A file that is not UTF-8
-    raises TranscriptError naming the line of its first undecodable byte."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            yield from handle
-            return
-        except UnicodeDecodeError:
-            pass
-    # The stream decodes a chunk ahead of the lines it gives, so its error's
-    # offsets are not the file's; decoding the whole file places the byte.
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line, bad = data.count(b"\n", 0, err.start) + 1, data[err.start:err.end]
-        raise TranscriptError(f"{path}: line {line}: not UTF-8 text ({err.reason} {bad!r})") from err
-    raise TranscriptError(f"{path}: not UTF-8 text")  # the file changed while it was read
+    """The lines of the file at ``path``, each decoded from its own bytes,
+    so a line that is not UTF-8 raises TranscriptError when it is reached."""
+    with open(path, "rb") as handle:
+        for number, data in enumerate(handle, start=1):
+            try:
+                yield data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                bad = data[err.start:err.end]
+                raise TranscriptError(f"{path}: line {number}: not UTF-8 text ({err.reason} {bad!r})") from err
 
 
 def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, int] | None:
@@ -514,6 +516,8 @@ class RunConfig(Checked):
             found.append(ConfigError("parallelism", f"must be a positive integer, got {self.parallelism!r}"))
         if not is_integer(self.seed) or self.seed < 0 or self.seed >= 2**64:
             found.append(ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed!r}"))
+        if self.run_id is not None and not isinstance(self.run_id, str):
+            found.append(ConfigError("run_id", f"must be a string, got {self.run_id!r}"))
         if self.match_on not in ("normalized", "raw"):
             found.append(ConfigError("match_on", f"must be 'normalized' or 'raw', got {self.match_on!r}"))
         if not isinstance(self.narrative_path, str) or not self.narrative_path:

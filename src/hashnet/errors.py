@@ -1,5 +1,7 @@
 """Exception types and value checks shared across the package."""
 
+import math
+
 
 class HashnetError(Exception):
     """Base class for every error raised by this package."""
@@ -33,7 +35,8 @@ def is_integer(value) -> bool:
 
 
 def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for ints and finite floats, not the NaN and inf ``json.loads`` reads from ``NaN`` or ``1e999``."""
+    return is_integer(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def reject_unknown(doc, known) -> None:

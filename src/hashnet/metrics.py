@@ -76,15 +76,6 @@ class AlignmentResult:
     counts: Mapping[str, int]
 
 
-def _rounds(transcript: Transcript) -> list[list[InteractionRecord]]:
-    """Records of rounds 1..rounds_completed(), grouped by round in one
-    pass over the records; a round without records gets an empty list."""
-    grouped: dict[int, list[InteractionRecord]] = {}
-    for record in transcript.records:
-        grouped.setdefault(record.round, []).append(record)
-    return [grouped.get(round_index, []) for round_index in range(1, transcript.rounds_completed() + 1)]
-
-
 def _responses(
     records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool, form: str
 ) -> list[str]:
@@ -129,7 +120,7 @@ def run_responses(
     order."""
     return [
         tag
-        for round_index, records in enumerate(_rounds(transcript), start=1)
+        for round_index, records in enumerate(transcript.rounds(), start=1)
         for tag in _responses(records, round_index, include_fallbacks, form)
     ]
 
@@ -397,7 +388,7 @@ def metric_series(
         raise MetricError("perplexity requires a unigram reference model")
 
     values: list[tuple[int, float]] = []
-    for round_index, records in enumerate(_rounds(transcript), start=1):
+    for round_index, records in enumerate(transcript.rounds(), start=1):
         if metric == "perplexity":
             assert model is not None
             value = _round_perplexity(model, records, round_index, include_fallbacks)

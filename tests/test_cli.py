@@ -155,6 +155,7 @@ class TestValidate:
         ("timeout", "60"),
         ("api_key_env", ""),
         ("max_retries", 0),
+        ("timeout", float("inf")),
     ])
     def test_remote_embedding_settings_checked_like_remote_backend(self, tmp_path, key, value):
         embedding = {"provider": "remote", "base_url": "http://127.0.0.1:1/v1", "model": "m", key: value}
@@ -166,6 +167,11 @@ def _constant_agents(n, **first_agent):
     agents = [{"agent_id": i, "backend": "mock", "params": {"strategy": "constant:#x"}} for i in range(n)]
     agents[0].update(first_agent)
     return agents
+
+
+def _remote_doc(**params):
+    return small_mock_doc(agents={"backend": "remote", "count": 6, "params": {
+        "base_url": "http://127.0.0.1:1/v1", "model": "m", **params}})
 
 
 @pytest.mark.parametrize("doc, simulate_args, field_path", [
@@ -191,8 +197,29 @@ def _constant_agents(n, **first_agent):
         [],
         "agents[0].backend_params.transcript",
     ),
+    (small_mock_doc(metrics={"entropy_base": float("inf")}), [], "metrics.entropy_base"),
+    (small_mock_doc(metrics={"entropy_base": float("nan")}), [], "metrics.entropy_base"),
+    (small_mock_doc(decode={"temperature": float("nan")}), [], "decode.temperature"),
+    (_remote_doc(timeout=float("inf")), [], "agents[0].backend_params.timeout"),
+    (_remote_doc(backoff=float("inf")), [], "agents[0].backend_params.backoff"),
+    (small_mock_doc(run_id=["a"]), [], "run_id"),
+    (small_mock_doc(agents={"backend": "mock", "count": 0}), [], "agents.count"),
+    ({key: value for key, value in small_mock_doc().items() if key != "agents"}, [], "agents"),
+    (small_mock_doc(decode=[]), [], "decode"),
+    (small_mock_doc(agents={"backend": "replay", "count": 6, "params": {"transcript": "absent.jsonl"}}), [],
+     "agents[0].backend_params.transcript"),
+    (small_mock_doc(agents={"backend": "replay", "count": 6}), [], "agents[0].backend_params.transcript"),
+    (small_mock_doc(narrative="absent.json"), [], "narrative"),
+    (small_mock_doc(metrics={"reference_corpus": 5}), [], "metrics.reference_corpus"),
+    (small_mock_doc(output={"metrics_dir": ["m"]}), [], "output.metrics_dir"),
+    (small_mock_doc(match_on="fuzzy"), [], "match_on"),
+    (small_mock_doc(narrative=7), [], "narrative"),
 ], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero",
-        "replay-record-missing-a-field", "replay-transcript-not-utf8"])
+        "replay-record-missing-a-field", "replay-transcript-not-utf8", "entropy-base-infinite", "entropy-base-nan",
+        "temperature-nan", "remote-timeout-infinite", "remote-backoff-infinite", "run-id-not-a-string",
+        "agent-count-zero", "agents-missing", "section-not-an-object", "replay-transcript-not-found",
+        "replay-without-transcript", "narrative-not-found", "reference-corpus-not-a-string",
+        "output-not-a-string", "match-on-unknown", "narrative-not-a-string"])
 def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
     path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
@@ -406,6 +433,43 @@ class TestMetrics:
         strict = run_cli("metrics", str(run_dir / "transcript.jsonl"), "--config", str(config),
                          "--out", str(tmp_path / "m2"), "--strict")
         assert strict == EXIT_INVALID
+
+    @pytest.mark.parametrize("overrides, status", [
+        ({"narrative": "bundled:philippines"}, "skipped: narrative 'philippines' has no events"),
+        ({"metrics": {"embedding": {"provider": "remote", "base_url": "http://127.0.0.1:1/v1", "model": "m",
+                                    "max_retries": 1}}}, "skipped: embedder unavailable: "),
+    ], ids=["narrative-without-events", "embedder-unavailable"])
+    def test_alignment_skip_is_recorded_and_strict_fails(self, tmp_path, capsys, overrides, status):
+        run_config = write_config(tmp_path, small_mock_doc())
+        assert run_cli("simulate", "--config", str(run_config), "--out", str(tmp_path / "run")) == EXIT_OK
+        config = write_config(tmp_path, small_mock_doc(**overrides), name="metrics.json")
+        for strict, code in (((), EXIT_OK), (("--strict",), EXIT_INVALID)):
+            metrics_dir = tmp_path / f"m{len(strict)}"
+            assert run_cli("metrics", str(tmp_path / "run" / "transcript.jsonl"), "--config", str(config),
+                           "--out", str(metrics_dir), *strict) == code
+            assert json.loads((metrics_dir / "metadata.json").read_text())["statuses"]["alignment"].startswith(status)
+            assert (metrics_dir / "entropy.csv").is_file() and not (metrics_dir / "alignment.csv").exists()
+        assert f"alignment: {status}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("output", [None, {"transcript": "out/t.jsonl", "metrics_dir": "out/m"}])
+    def test_default_output_locations(self, tmp_path, monkeypatch, output):
+        # without --out, simulate writes output.transcript, else ./transcript.jsonl, and
+        # metrics writes output.metrics_dir, else <transcript dir>/metrics
+        config = write_config(tmp_path, small_mock_doc() if output is None else small_mock_doc(output=output))
+        run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        run_dir.mkdir(), elsewhere.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert run_cli("simulate", "--config", str(config)) == EXIT_OK
+        transcript = run_dir / "transcript.jsonl" if output is None else tmp_path / "out" / "t.jsonl"
+        assert transcript.is_file() and (output is None or not (run_dir / "transcript.jsonl").exists())
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("metrics", str(transcript), "--config", str(config)) == EXIT_OK
+        metrics_dir = run_dir / "metrics" if output is None else tmp_path / "out" / "m"
+        assert (metrics_dir / "entropy.csv").is_file()
+        if output is None:
+            assert not any(elsewhere.iterdir())
+        else:
+            assert not (transcript.parent / "metrics").exists()
 
     def test_guesses_without_letters_fall_back_and_metrics_succeed(self, tmp_path):
         # every response normalizes to "": each side falls back, so no round

@@ -728,6 +728,65 @@ class TestTranscriptIO:
         with pytest.raises(TranscriptError, match=re.escape(f"{path}: line 80: not UTF-8 text (")):
             read_transcript(path)
 
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path):
+        # invalid JSON on line 3 comes before a bad byte on line 5, whatever each fault is
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=6, rounds=3, seed=9), out_path=path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"{" + lines[2]
+        lines[4] = lines[4].replace(b'"raw_a": "', b'"raw_a": "\xff', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TranscriptError, match=re.escape(f"{path}: line 3: invalid JSON")):
+            read_transcript(path)
+
+    @pytest.mark.parametrize("after", ["record", "abort"])
+    def test_nothing_may_follow_the_abort_marker(self, tmp_path, after):
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=10, rounds=3, seed=17), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        round_2 = next(i for i, line in enumerate(lines) if i and json.loads(line)["round"] == 2)
+        marker = json.dumps({"abort": True, "round": 1, "reason": "x"}) + "\n"
+        lines[round_2:round_2] = [marker, "\n"]  # a blank line may follow it
+        if after == "abort":
+            lines[round_2 + 2:] = [marker]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(TranscriptError, match=f"{re.escape(str(path))}: line {round_2 + 3}: "
+                                                  "nothing may follow the abort marker$"):
+            read_transcript(path)
+        path.write_text("".join(lines[:round_2 + 2]), encoding="utf-8")
+        assert read_transcript(path).abort == json.loads(marker)
+
+    @given(hostile_transcripts())
+    @settings(max_examples=40, deadline=None)
+    def test_crlf_line_ends_read_as_lf(self, transcript):
+        with tempfile.TemporaryDirectory() as tmp:
+            lf, crlf = Path(tmp, "lf.jsonl"), Path(tmp, "crlf.jsonl")
+            write_transcript(transcript, lf)
+            crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+            expected, reloaded = read_transcript(lf), read_transcript(crlf)
+        assert (reloaded.header, reloaded.records, reloaded.abort, reloaded.partial) == (
+            expected.header, expected.records, expected.abort, expected.partial)
+        for metric in ("entropy", "dominant_share"):
+            assert metric_series(reloaded, metric) == metric_series(expected, metric)
+
+    def test_bare_cr_line_ends_are_invalid_json(self, tmp_path):
+        # JSON Lines separates lines with LF: a file of CR-ended lines is one invalid line
+        path = tmp_path / "t.jsonl"
+        write_transcript(run_simulation(make_mock_config(n=6, rounds=2, seed=9)), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        with pytest.raises(TranscriptError, match=re.escape(f"{path}: line 1: invalid JSON")):
+            read_transcript(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        transcript = run_simulation(make_mock_config(n=6, rounds=3, seed=9))
+        write_transcript(transcript, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line + blank for line, blank in zip(lines, ["\n", " \t\n", "\r\n"] * len(lines))),
+                        encoding="utf-8", newline="")
+        reloaded = read_transcript(path)
+        assert (reloaded.header, reloaded.records) == (transcript.header, transcript.records)
+
     def test_noncontiguous_rounds_rejected(self, tmp_path):
         transcript = run_simulation(make_mock_config(n=6, rounds=3, seed=9))
         records = transcript.records

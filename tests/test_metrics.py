@@ -70,6 +70,21 @@ class TestRoundDistribution:
         with pytest.raises(MetricError):
             round_distribution(fixture_transcript, 9)
 
+    def test_partial_round_is_left_out(self, tmp_path):
+        # a file cut inside round 3: every per-round accessor stops at round 2, as metric_series does
+        path = tmp_path / "t.jsonl"
+        whole = run_simulation(make_mock_config(n=10, rounds=3, seed=17), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        transcript = read_transcript(path)
+        assert transcript.partial and transcript.records[-1].round == 3
+        assert transcript.rounds() == whole.rounds()[:2]
+        assert transcript.records_for_round(3) == []
+        for accessor in (round_responses, round_distribution):
+            with pytest.raises(MetricError, match="^transcript has no records for round 3$"):
+                accessor(transcript, 3)
+        assert [r for r, _ in metric_series(transcript, "entropy").values] == [1, 2]
+
     def test_unique_dedup_policy(self):
         records = [make_record(1, 0, 1, "#x", "#x"), make_record(1, 2, 3, "#y", "#x")]
         dist = round_distribution(Transcript(header={}, records=records), 1, dedup="unique")
