@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
-import numpy as np
-
 from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown
+from .rng import Stream
 
 BACKEND_KINDS = ("remote", "mock", "replay")
 API_KEY_ENV = "HASHNET_API_KEY"
@@ -179,14 +178,13 @@ class BackendResponse(NamedTuple):
 
 
 class Backend(Protocol):
-    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
-        """Answer one request. ``rng`` is this agent's generator for the
-        round; the engine passes a generator-like handle that builds it on
-        the first draw, and ``req.prompt`` is rendered on access, so a call
-        that neither draws nor reads the prompt pays for neither. Calls
-        within a round may run on pool threads at once: they read
-        ``req.history``, whose row list the engine extends only between
-        rounds, and must not change it."""
+    def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
+        """Answer one request. ``rng`` is this agent's stream for the
+        round, which builds its state on the first draw, and ``req.prompt``
+        is rendered on access, so a call that neither draws nor reads the
+        prompt pays for neither. Calls within a round may run on pool
+        threads at once: they read ``req.history``, whose row list the
+        engine extends only between rounds, and must not change it."""
         ...
 
 
@@ -262,7 +260,7 @@ def _imitate(
     counts: Mapping[str, int],
     last_seen: Mapping[str, int],
     lexicon: Sequence[str],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> str:
     """The imitation rule over tallied history (see ``mock_imitate``)."""
     if not lexicon:
@@ -278,7 +276,7 @@ def _imitate(
 def mock_imitate(
     history: Sequence[tuple[int, str, str]],
     lexicon: Sequence[str],
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> str:
     """Imitation strategy: with no history, draw uniformly from the lexicon;
     otherwise produce the neighbor guess seen most often across all prior
@@ -327,7 +325,7 @@ class MockBackend:
         else:
             raise ConfigError("strategy", f"unknown mock strategy {strategy!r}")
 
-    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
+    def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
         if self._constant is not None:
             return BackendResponse(self._constant)
         best = self._tallies(req.agent_id, req.history)[2]
@@ -377,7 +375,7 @@ class ReplayBackend:
             for (agent, raw, _, _), unavailable in zip(record.sides(), (record.unavailable_a, record.unavailable_b))
         })
 
-    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
+    def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
         key = (req.agent_id, req.round)
         if key not in self._responses:
             raise ReplayGapError(req.agent_id, req.round)
@@ -469,7 +467,7 @@ class RemoteBackend:
         """``settings`` are ``HttpClient``'s keyword arguments."""
         self._client = HttpClient(base_url, "/chat/completions", model, **settings)
 
-    def respond(self, req: BackendRequest, rng: np.random.Generator) -> BackendResponse:
+    def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
         payload = {
             "model": self._client.model,
             "messages": [{"role": "user", "content": req.prompt}],

@@ -624,9 +624,9 @@ def run_simulation(
             def invoke(agent: int) -> str | None:
                 # Positional arguments, here and in the record below, make the cheaper call.
                 request = BackendRequest(round_index, agent, narrative.full_text, config.decode, histories[agent])
-                agent_rng = rng_streams.LazyAgentRng(config.seed, round_index, agent)
+                stream = rng_streams.agent_stream(config.seed, round_index, agent)
                 try:
-                    return backends[agent].respond(request, agent_rng).raw_text
+                    return backends[agent].respond(request, stream).raw_text
                 except BackendUnavailableError:
                     return None
 

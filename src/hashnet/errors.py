@@ -35,8 +35,16 @@ def is_integer(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """True for ints and finite floats, not the NaN and inf ``json.loads`` reads from ``NaN`` or ``1e999``."""
-    return is_integer(value) or (isinstance(value, float) and math.isfinite(value))
+    """True for finite floats and for ints a float can hold. Not the NaN and
+    inf ``json.loads`` reads from ``NaN`` or ``1e999``, nor an int such as
+    ``10**400`` that ``float()`` refuses."""
+    if is_integer(value):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def reject_unknown(doc, known) -> None:

@@ -19,9 +19,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Protocol, Sequence, Union
 
 from .agents import HttpClient
 from .engine import InteractionRecord, Transcript, normalize_hashtag
@@ -148,10 +146,11 @@ def shannon_entropy(dist: HashtagDistribution, base: float = 2.0) -> float:
         raise MetricError("entropy of an empty distribution is undefined")
     if base <= 1.0:
         raise ConfigError("entropy_base", f"must be > 1, got {base!r}")
-    counts = np.array(list(dist.counts.values()), dtype=float)
-    p = counts / counts.sum()
+    total = dist.total
+    log_base = math.log(base)
+    shares = (count / total for count in dist.counts.values())
     # + 0.0 folds the -0.0 of single-hashtag distributions into plain 0.0
-    return float(-(p * (np.log(p) / np.log(base))).sum()) + 0.0
+    return -sum(p * (math.log(p) / log_base) for p in shares) + 0.0
 
 
 def dominant_share(dist: HashtagDistribution) -> float:
@@ -236,8 +235,12 @@ def _perplexity(model: UnigramModel, tokens: Sequence[str]) -> float:
 # --- embedding providers and narrative alignment ------------------------------
 
 
+# An embedding: a dense row of floats, or a sparse {axis: value} dict.
+Vector = Union[Sequence[float], Mapping[int, float]]
+
+
 class Embedder(Protocol):
-    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed(self, texts: Sequence[str]) -> Sequence[Vector]: ...
 
 
 def _check_dim(dim) -> int:
@@ -254,16 +257,16 @@ class OneHotEmbedder:
         self._dim = _check_dim(dim)
         self._index: dict[str, int] = {}
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        vectors = np.zeros((len(texts), self._dim))
-        for row, text in enumerate(texts):
+    def embed(self, texts: Sequence[str]) -> list[dict[int, float]]:
+        vectors = []
+        for text in texts:
             if text not in self._index:
                 if len(self._index) >= self._dim:
                     raise EmbedderUnavailableError(
                         f"one-hot embedder saturated at {self._dim} distinct strings"
                     )
                 self._index[text] = len(self._index)
-            vectors[row, self._index[text]] = 1.0
+            vectors.append({self._index[text]: 1.0})
         return vectors
 
 
@@ -275,16 +278,17 @@ class HashingEmbedder:
     def __init__(self, dim: int = 256):
         self._dim = _check_dim(dim)
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        vectors = np.zeros((len(texts), self._dim))
-        for row, text in enumerate(texts):
+    def embed(self, texts: Sequence[str]) -> list[dict[int, float]]:
+        vectors = []
+        for text in texts:
             padded = f"##{text.lower()}##"
+            counts: dict[int, float] = {}
             for i in range(len(padded) - 2):
-                gram = padded[i : i + 3]
-                vectors[row, zlib.crc32(gram.encode("utf-8")) % self._dim] += 1.0
-            norm = np.linalg.norm(vectors[row])
-            if norm > 0:
-                vectors[row] /= norm
+                axis = zlib.crc32(padded[i : i + 3].encode("utf-8")) % self._dim
+                counts[axis] = counts.get(axis, 0.0) + 1.0
+            # The padding gives every text two trigrams, so the norm is positive.
+            norm = math.sqrt(sum(count * count for count in counts.values()))
+            vectors.append({axis: count / norm for axis, count in counts.items()})
         return vectors
 
 
@@ -297,23 +301,46 @@ class RemoteEmbedder:
         """``settings`` are ``HttpClient``'s keyword arguments."""
         self._client = HttpClient(base_url, "/embeddings", model, **settings)
 
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"model": self._client.model, "input": list(texts)}
         return self._client.post(payload, _embedding_rows, EmbedderUnavailableError)[0]
 
 
-def _embedding_rows(reply: dict) -> np.ndarray:
+def _embedding_rows(reply: dict) -> list[list[float]]:
+    """The reply's vectors in input order; rows of unequal length are a
+    malformed reply (``ValueError``)."""
     rows = sorted(reply["data"], key=lambda entry: entry.get("index", 0))
-    return np.array([row["embedding"] for row in rows], dtype=float)
+    vectors = [[float(value) for value in row["embedding"]] for row in rows]
+    if len({len(vector) for vector in vectors}) > 1:
+        raise ValueError("embedding rows differ in length")
+    return vectors
 
 
-def _cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity; zero vectors yield similarity 0."""
-    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = (a @ b.T) / (a_norm * b_norm.T)
-    return np.nan_to_num(sims, nan=0.0)
+def _sparse(vector: Vector) -> Mapping[int, float]:
+    """``vector`` as ``{axis: value}``; a dense row keeps its nonzero entries."""
+    if isinstance(vector, Mapping):
+        return vector
+    return {axis: float(value) for axis, value in enumerate(vector) if value}
+
+
+def _best_matches(tags: Sequence[Vector], events: Sequence[Vector]) -> list[tuple[int, float]]:
+    """Per tag vector, the index of the most cosine-similar event vector
+    and that similarity, ties going to the earlier event. A zero vector has
+    similarity 0 with everything."""
+    event_rows = [_sparse(vector) for vector in events]
+    event_norms = [math.sqrt(sum(value * value for value in row.values())) for row in event_rows]
+    best = []
+    for vector in tags:
+        row = _sparse(vector)
+        norm = math.sqrt(sum(value * value for value in row.values()))
+        sims = [
+            sum(value * event[axis] for axis, value in row.items() if axis in event) / (norm * event_norm)
+            if norm and event_norm else 0.0
+            for event, event_norm in zip(event_rows, event_norms)
+        ]
+        index = max(range(len(sims)), key=sims.__getitem__)  # the first of equal maxima
+        best.append((index, sims[index]))
+    return best
 
 
 def align_hashtags(
@@ -338,14 +365,14 @@ def align_hashtags(
         raise
     except Exception as err:
         raise EmbedderUnavailableError(f"{type(err).__name__}: {err}") from err
+    if len(event_vectors) != len(narrative.events) or len(tag_vectors) != len(distinct):
+        raise EmbedderUnavailableError("the embedder returned a vector count other than the text count")
 
-    sims = _cosine_matrix(np.asarray(tag_vectors, dtype=float), np.asarray(event_vectors, dtype=float))
     assignments: dict[str, tuple[str, float]] = {}
     counts: dict[str, int] = {event.label: 0 for event in narrative.events}
-    for i, tag in enumerate(distinct):
-        best = int(np.argmax(sims[i]))
+    for tag, (best, sim) in zip(distinct, _best_matches(tag_vectors, event_vectors)):
         label = narrative.events[best].label
-        assignments[tag] = (label, float(sims[i, best]))
+        assignments[tag] = (label, sim)
         counts[label] += frequency[tag]
     return AlignmentResult(assignments=assignments, counts=counts)
 

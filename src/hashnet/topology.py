@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import Checked, ConfigError, is_integer, is_number
+from .rng import Stream
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def generate_network(spec: TopologySpec) -> Network:
     if spec.seed is None:
         raise ConfigError("topology.seed", "seed must be resolved before generating a network")
     n, k = spec.n, spec.k
-    rng = np.random.default_rng(spec.seed)
+    rng = Stream(spec.seed)
 
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):
@@ -133,9 +132,9 @@ def generate_network(spec: TopologySpec) -> Network:
             b = (i + j) % n
             if len(adjacency[i]) >= n - 1:
                 continue
-            w = int(rng.integers(n))
+            w = rng.integers(n)
             while w == i or w in adjacency[i]:
-                w = int(rng.integers(n))
+                w = rng.integers(n)
             adjacency[i].discard(b)
             adjacency[b].discard(i)
             adjacency[i].add(w)
@@ -145,20 +144,21 @@ def generate_network(spec: TopologySpec) -> Network:
     return Network(n=n, edges=edges)
 
 
-def pair_round(net: Network, round_index: int, rng: np.random.Generator) -> Pairing:
+def pair_round(net: Network, round_index: int, rng: Stream) -> Pairing:
     """Draw a uniformly random greedy maximal matching on ``net``.
 
     Agents are visited in a random permutation; each still-unmatched agent
     is paired with a uniformly random unmatched neighbor. Agents that end
     up with no available partner sit the round out. The result is maximal:
-    no two unmatched agents share an edge.
+    no two unmatched agents share an edge. ``rng`` may also be a numpy
+    ``Generator``; one seeded alike gives the same pairing.
     """
     if round_index < 1:
         raise ValueError(f"round index must be >= 1, got {round_index}")
     adjacency = net.adjacency
     matched: set[int] = set()
     pairs: list[tuple[int, int]] = []
-    for a in rng.permutation(net.n).tolist():
+    for a in map(int, rng.permutation(net.n)):
         if a in matched:
             continue
         candidates = [b for b in adjacency[a] if b not in matched]

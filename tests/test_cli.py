@@ -214,12 +214,16 @@ def _remote_doc(**params):
     (small_mock_doc(output={"metrics_dir": ["m"]}), [], "output.metrics_dir"),
     (small_mock_doc(match_on="fuzzy"), [], "match_on"),
     (small_mock_doc(narrative=7), [], "narrative"),
+    (small_mock_doc(metrics={"entropy_base": 10**400}), [], "metrics.entropy_base"),
+    (small_mock_doc(topology={"n": 6, "k": 2, "p": 10**400}), [], "topology.p"),
+    (small_mock_doc(decode={"temperature": 10**400}), [], "decode.temperature"),
 ], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero",
         "replay-record-missing-a-field", "replay-transcript-not-utf8", "entropy-base-infinite", "entropy-base-nan",
         "temperature-nan", "remote-timeout-infinite", "remote-backoff-infinite", "run-id-not-a-string",
         "agent-count-zero", "agents-missing", "section-not-an-object", "replay-transcript-not-found",
         "replay-without-transcript", "narrative-not-found", "reference-corpus-not-a-string",
-        "output-not-a-string", "match-on-unknown", "narrative-not-a-string"])
+        "output-not-a-string", "match-on-unknown", "narrative-not-a-string", "entropy-base-huge-integer",
+        "topology-p-huge-integer", "temperature-huge-integer"])
 def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
     path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
@@ -657,3 +661,48 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "ok:" in result.stdout
+
+
+def test_console_flow_needs_no_numpy(tmp_path, demo_config_path, capsys):
+    # numpy is a test dependency only: with it unimportable, validate, simulate,
+    # metrics --strict and report still run and write the same bytes
+    import os
+    import subprocess
+    import sys
+
+    blocker = tmp_path / "blocker"
+    (blocker / "numpy").mkdir(parents=True)
+    (blocker / "numpy" / "__init__.py").write_text('raise ImportError("numpy is blocked")\n', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(blocker), str(REPO / "src")])}
+    config = str(demo_config_path)
+
+    def flow(out_dir, run):
+        transcript = str(out_dir / "transcript.jsonl")
+        for argv in (
+            ["validate", "--config", config],
+            ["simulate", "--config", config, "--out", str(out_dir)],
+            ["metrics", transcript, "--config", config, "--out", str(out_dir / "metrics"), "--strict"],
+            ["report", transcript, "--config", config, "--out", str(out_dir / "report")],
+        ):
+            run(argv)
+
+    def blocked(argv):
+        result = subprocess.run([sys.executable, "-m", "hashnet", *argv], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, (argv, result.stdout, result.stderr)
+
+    def in_process(argv):
+        assert run_cli(*argv) == EXIT_OK
+
+    flow(tmp_path / "blocked", blocked)
+    flow(tmp_path / "normal", in_process)
+    capsys.readouterr()
+
+    committed = (FIXTURES / "demo_transcript.sha256").read_text().strip()
+    assert hashlib.sha256((tmp_path / "blocked" / "transcript.jsonl").read_bytes()).hexdigest() == committed
+    for part in ("metrics", "report"):
+        names = sorted(path.name for path in (tmp_path / "normal" / part).glob("*.csv"))
+        assert names == sorted(path.name for path in (tmp_path / "blocked" / part).glob("*.csv"))
+        assert len(names) >= 4
+        for name in names:
+            normal = (tmp_path / "normal" / part / name).read_bytes()
+            assert (tmp_path / "blocked" / part / name).read_bytes() == normal, f"{part}/{name}"

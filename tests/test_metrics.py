@@ -28,7 +28,7 @@ from hashnet import (
     run_simulation,
     shannon_entropy,
 )
-from hashnet.metrics import HashingEmbedder, round_responses, tokenize
+from hashnet.metrics import HashingEmbedder, _embedding_rows, round_responses, tokenize
 from hashnet.narrative import FocalNarrative, NarrativeEvent
 
 from conftest import FIXTURES, make_mock_config
@@ -247,6 +247,36 @@ class TestAlignment:
         result = align_hashtags(["#gamma"], narrative, OneHotEmbedder())
         assert result.assignments["#gamma"][0] == "A"
 
+    def test_zero_vectors_have_similarity_zero(self):
+        # a zero event vector beats a negative cosine; a zero tag vector ties everywhere
+        vectors = {"E0": [-1.0, 0.0], "E1": [0.0, 0.0], "#x": [1.0, 0.0], "#zero": np.zeros(2)}
+
+        class PresetEmbedder:
+            def embed(self, texts):
+                return [vectors[text] for text in texts]
+
+        narrative = FocalNarrative(
+            id="n", title="n", full_text="t", events=(NarrativeEvent("A", "E0"), NarrativeEvent("B", "E1")),
+        )
+        result = align_hashtags(["#x", "#zero"], narrative, PresetEmbedder())
+        assert result.assignments == {"#x": ("B", 0.0), "#zero": ("A", 0.0)}
+
+    def test_vector_count_other_than_text_count_is_unavailable(self):
+        class ShortEmbedder:
+            def embed(self, texts):
+                return [[1.0, 0.0]] * (len(texts) - 1)
+
+        narrative = FocalNarrative(id="n", title="n", full_text="t", events=synthetic_events(2))
+        with pytest.raises(EmbedderUnavailableError):
+            align_hashtags(["#x", "#y"], narrative, ShortEmbedder())
+
+    def test_ragged_embedding_reply_is_malformed(self):
+        reply = {"data": [{"index": 1, "embedding": [1.0, 2.0]}, {"index": 0, "embedding": [1.0]}]}
+        with pytest.raises(ValueError):
+            _embedding_rows(reply)
+        reply["data"][1]["embedding"].append(3.0)
+        assert _embedding_rows(reply) == [[1.0, 3.0], [1.0, 2.0]]
+
     def test_counts_weighted_by_frequency(self):
         narrative = FocalNarrative(
             id="n", title="n", full_text="t",
@@ -319,7 +349,7 @@ class TestAlignment:
             embedder.embed(["#x"])
         assert len(stub_server.requests) == 1
         stub_server.script.append(503)
-        assert embedder.embed(["#xy"]).tolist() == [[3.0, 1.0]]
+        assert embedder.embed(["#xy"]) == [[3.0, 1.0]]
         assert len(stub_server.requests) == 3
 
     def test_remote_embedder_sends_the_api_key(self, stub_server, monkeypatch):
@@ -332,7 +362,9 @@ class TestAlignment:
 
     def test_hashing_embedder_is_deterministic_and_normalized(self):
         embedder = HashingEmbedder(dim=64)
-        a = embedder.embed(["#storm", "#storm", "#other"])
+        sparse = embedder.embed(["#storm", "#storm", "#other"])
+        assert all(0 <= axis < 64 for row in sparse for axis in row)
+        a = [[row.get(axis, 0.0) for axis in range(64)] for row in sparse]
         assert np.allclose(a[0], a[1])
         assert not np.allclose(a[0], a[2])
         assert np.linalg.norm(a[0]) == pytest.approx(1.0)
