@@ -20,14 +20,18 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import os
+import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
-from .errors import BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown
+from .errors import (
+    BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown, require_text,
+)
 from .rng import Stream
 
 BACKEND_KINDS = ("remote", "mock", "replay")
@@ -385,73 +389,171 @@ class ReplayBackend:
         return BackendResponse(raw_text=text)
 
 
+class HttpStatusError(Exception):
+    """A reply whose status is not 2xx. ``retry_after`` is its
+    ``Retry-After`` in seconds, read only on a 429 or 503 and only in the
+    delta-seconds form; None otherwise."""
+
+    def __init__(self, status: int, retry_after: int | None = None):
+        super().__init__(f"HTTP status {status}")
+        self.status = status
+        self.retry_after = retry_after
+
+
 class HttpClient:
-    """JSON POSTs to one path of an OpenAI-compatible endpoint, shared by
-    the remote chat backend and the remote embedder.
+    """JSON POSTs to an OpenAI-compatible endpoint, shared by the remote
+    chat backends and the remote embedder.
 
     The constructor checks the connection settings. Each request carries a
     bearer token read from ``api_key_env`` when that variable is set.
     Failures that ``is_retryable`` accepts are retried with exponential
-    backoff. Concurrency is the caller's: a simulation makes at most
-    ``parallelism`` calls at once.
+    backoff, stretched to a 429 or 503 reply's ``Retry-After`` up to
+    ``timeout``. Redirects are not followed, and no proxy is used.
+
+    Connections are kept alive in a pool of idle ones that every thread
+    draws from, so a client holds no more connections than it has had
+    calls in flight at once; a simulation makes at most ``parallelism``.
     """
 
     def __init__(
         self,
         base_url: str,
-        path: str,
-        model: str,
         *,
         api_key_env: str = API_KEY_ENV,
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
     ):
-        for name, value in (("base_url", base_url), ("model", model), ("api_key_env", api_key_env)):
-            if not isinstance(value, str) or not value:
-                raise ConfigError(name, f"must be a nonempty string, got {value!r}")
+        for name, value in (("base_url", base_url), ("api_key_env", api_key_env)):
+            require_text(name, value)
         if not is_number(timeout) or timeout <= 0:
             raise ConfigError("timeout", f"must be a number > 0, got {timeout!r}")
         if not is_integer(max_retries) or max_retries < 1:
             raise ConfigError("max_retries", f"must be a positive integer, got {max_retries!r}")
         if not is_number(backoff) or backoff < 0:
             raise ConfigError("backoff", f"must be a number >= 0, got {backoff!r}")
-        self._url = base_url.rstrip("/") + path
-        self.model = model
+        # Imported here so that runs without a remote backend never load them.
+        import http.client
+        import socket
+        from urllib.parse import urlsplit
+
+        url = urlsplit(base_url)
+        try:
+            self._address = (url.hostname, url.port)
+        except ValueError:  # a port that is not a number in range
+            self._address = (None, None)
+        if url.scheme not in ("http", "https") or not self._address[0]:
+            raise ConfigError("base_url", f"must be an http:// or https:// URL, got {base_url!r}")
+        self.settings = (base_url, api_key_env, timeout, max_retries, backoff)
+        self._https = url.scheme == "https"
+        self._connection_class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+        self._transport_errors = (OSError, http.client.HTTPException)
+        # A server that sends a reply's headers and body in two writes, with
+        # Nagle's algorithm on (as http.server does), holds the body until the
+        # headers are acknowledged. On a busy keep-alive connection Linux
+        # delays that acknowledgement by up to 40 ms, unless told not to.
+        quickack = getattr(socket, "TCP_QUICKACK", None)
+        self._quickack = None if quickack is None else (socket.IPPROTO_TCP, quickack, 1)
+        self._prefix = url.path.rstrip("/")
         self._api_key_env = api_key_env
         self._timeout = timeout
         self._max_retries = max_retries
         self._backoff = backoff
-        # Imported here so that runs without a remote backend never load it.
-        import requests
-
-        self._session = requests.Session()
+        self._ssl_context = None  # made for the first HTTPS connection
+        self._idle: list = []
+        self._lock = threading.Lock()
 
     def post(
-        self, payload: dict, read: Callable[[dict], T], unavailable: Callable[[str], Exception]
+        self, path: str, payload: dict, read: Callable[[dict], T], unavailable: Callable[[str], Exception]
     ) -> tuple[T, int]:
-        """``read`` of the reply JSON of the first attempt that succeeds,
-        and that attempt's number. Raises ``unavailable(failure)`` once the
-        attempts run out or a failure is not worth repeating."""
-        import requests
-
-        headers = {}
+        """``read`` of the reply JSON to ``payload`` POSTed to ``path``
+        under the base URL, for the first attempt that succeeds, and that
+        attempt's number. Raises ``unavailable(failure)`` once the attempts
+        run out or a failure is not worth repeating."""
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self._api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         failure = ""
         for attempt in range(1, self._max_retries + 1):
             try:
-                response = self._session.post(self._url, json=payload, headers=headers, timeout=self._timeout)
-                response.raise_for_status()
-                return read(response.json()), attempt
-            except (requests.RequestException, ValueError, KeyError, IndexError, TypeError) as err:
+                return read(json.loads(self._exchange(self._prefix + path, body, headers))), attempt
+            except (*self._transport_errors, HttpStatusError, ValueError, KeyError, IndexError, TypeError) as err:
                 failure = f"{type(err).__name__}: {err}"
                 if not is_retryable(err):
                     break
                 if attempt < self._max_retries:
-                    time.sleep(self._backoff * 2 ** (attempt - 1))
+                    delay = self._backoff * 2 ** (attempt - 1)
+                    if isinstance(err, HttpStatusError) and err.retry_after is not None:
+                        delay = max(delay, min(err.retry_after, self._timeout))
+                    time.sleep(delay)
         raise unavailable(failure)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(self, path: str, body: bytes, headers: dict) -> bytes:
+        """The body of a 2xx reply to one POST. The connection goes back to
+        the pool only once its reply has been read in full and the server
+        keeps it open; a transport error closes it."""
+        connection = self._checkout()
+        try:
+            connection.request("POST", path, body, headers)
+            if self._quickack:
+                connection.sock.setsockopt(*self._quickack)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.append(connection)
+        if not 200 <= response.status < 300:
+            retry_after = response.getheader("Retry-After", "").strip() if response.status in (429, 503) else ""
+            delta_seconds = retry_after.isascii() and retry_after.isdigit()  # not the HTTP-date form
+            raise HttpStatusError(response.status, int(retry_after) if delta_seconds else None)
+        return data
+
+    def _checkout(self):
+        """The most recently used idle connection that the server has not
+        closed, or a new one. A dropped connection costs no attempt."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _readable(connection.sock):
+                return connection
+            connection.close()
+        if not self._https:
+            return self._connection_class(*self._address, timeout=self._timeout)
+        if self._ssl_context is None:
+            import ssl  # loaded with http.client
+
+            # The system trust store, with hostname checks.
+            self._ssl_context = ssl.create_default_context()
+        return self._connection_class(*self._address, timeout=self._timeout, context=self._ssl_context)
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has something to read. Nothing is owed on an
+    idle keep-alive connection, so that means the server closed it (EOF) or
+    broke the protocol; either way it must not carry another request."""
+    import select  # loaded with http.client
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 class RemoteBackend:
@@ -461,21 +563,26 @@ class RemoteBackend:
     returned untouched. Failures that ``is_retryable`` accepts are retried
     with exponential backoff; exhaustion, or any other failure, raises
     BackendUnavailableError so the engine can apply its fallback rule.
+    ``build_backends`` gives agents that name the same connection settings
+    one ``client``.
     """
 
     def __init__(self, base_url: str, model: str, **settings):
         """``settings`` are ``HttpClient``'s keyword arguments."""
-        self._client = HttpClient(base_url, "/chat/completions", model, **settings)
+        self.client = HttpClient(base_url, **settings)
+        require_text("model", model)
+        self._model = model
 
     def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
         payload = {
-            "model": self._client.model,
+            "model": self._model,
             "messages": [{"role": "user", "content": req.prompt}],
             "temperature": req.decode.temperature,
             "max_tokens": req.decode.max_tokens,
         }
         start = time.monotonic()
-        text, attempt = self._client.post(
+        text, attempt = self.client.post(
+            "/chat/completions",
             payload,
             _first_choice_text,
             lambda failure: BackendUnavailableError(req.agent_id, req.round, failure),
@@ -487,13 +594,10 @@ class RemoteBackend:
 def is_retryable(err: Exception) -> bool:
     """Whether an HTTP attempt that failed with ``err`` is worth repeating:
     transport errors, malformed replies, 408, 429 and 5xx are; any other
-    4xx status would fail the same way again."""
-    import requests
-
-    if not isinstance(err, requests.HTTPError) or err.response is None:
+    status, redirects included, would fail the same way again."""
+    if not isinstance(err, HttpStatusError):
         return True
-    status = err.response.status_code
-    return status in (408, 429) or not 400 <= status < 500
+    return err.status in (408, 429) or err.status >= 500
 
 
 def _first_choice_text(data: dict) -> str:
@@ -539,8 +643,10 @@ def build_backend(spec: AgentSpec) -> Backend:
 
 
 def build_backends(specs: Sequence[AgentSpec]) -> dict[int, Backend]:
-    """Backends for a whole run, sharing one replay index per transcript file."""
+    """Backends for a whole run, sharing one replay index per transcript
+    file and one HTTP client per set of connection settings."""
     replay_sources: dict[str, ReplayBackend] = {}
+    clients: dict[tuple, HttpClient] = {}
     backends: dict[int, Backend] = {}
     for spec in specs:
         if spec.backend == "replay":
@@ -548,6 +654,8 @@ def build_backends(specs: Sequence[AgentSpec]) -> dict[int, Backend]:
             if path not in replay_sources:
                 replay_sources[path] = ReplayBackend.from_transcript(path)
             backends[spec.agent_id] = replay_sources[path]
-        else:
-            backends[spec.agent_id] = build_backend(spec)
+            continue
+        backend = backends[spec.agent_id] = build_backend(spec)
+        if isinstance(backend, RemoteBackend):
+            backend.client = clients.setdefault(backend.client.settings, backend.client)
     return backends

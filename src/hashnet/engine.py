@@ -18,9 +18,11 @@ so a run with deterministic backends is byte-identical at any parallelism.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
+import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -36,6 +38,7 @@ from .agents import (
     BackendRequest,
     DecodeParams,
     History,
+    RemoteBackend,
     build_backends,
     render_interaction_table,  # not called here; kept as a binding the benchmark's tracer wraps
     render_prompt,
@@ -288,6 +291,9 @@ def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hasht
     return shared
 
 
+_round_of = operator.attrgetter("round")
+
+
 @dataclass
 class Transcript:
     """Header plus interaction records ordered by (round, agent_a); the
@@ -302,7 +308,7 @@ class Transcript:
 
     def rounds_completed(self) -> int:
         """The last round with records, or the one before it when that round is partial."""
-        return max((r.round for r in self.records), default=0) - self.partial
+        return (self.records[-1].round if self.records else 0) - self.partial
 
     def rounds(self) -> list[list[InteractionRecord]]:
         """Records of rounds 1..rounds_completed(), grouped by round in one
@@ -313,7 +319,12 @@ class Transcript:
         return [grouped.get(round_index, []) for round_index in range(1, self.rounds_completed() + 1)]
 
     def records_for_round(self, round_index: int) -> list[InteractionRecord]:
-        return dict(enumerate(self.rounds(), start=1)).get(round_index, [])
+        """``rounds()[round_index - 1]``, found by bisection on the ordered
+        records; a round outside 1..rounds_completed() has none."""
+        if not 1 <= round_index <= self.rounds_completed():
+            return []
+        start = bisect.bisect_left(self.records, round_index, key=_round_of)
+        return self.records[start:bisect.bisect_right(self.records, round_index, lo=start, key=_round_of)]
 
     def match_rate(self) -> float:
         if not self.records:
@@ -610,6 +621,9 @@ def run_simulation(
 
     with ExitStack() as stack:
         handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
+        # Registered before the pool, so they run after its calls have returned.
+        for client in {backend.client for backend in backends.values() if isinstance(backend, RemoteBackend)}:
+            stack.callback(client.close)
         pool = stack.enter_context(ThreadPoolExecutor(config.parallelism)) if config.parallelism > 1 else None
 
         def stop(round_index: int, reason: str) -> None:

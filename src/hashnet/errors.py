@@ -54,6 +54,12 @@ def reject_unknown(doc, known) -> None:
             raise ConfigError(key, "unknown field")
 
 
+def require_text(name: str, value) -> None:
+    """Raise ``ConfigError(name)`` unless ``value`` is a nonempty string."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(name, f"must be a nonempty string, got {value!r}")
+
+
 class NarrativeLoadError(ConfigError):
     """Narrative document missing, malformed, or violating an invariant."""
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Protocol, Sequence, Union
 
 from .agents import HttpClient
 from .engine import InteractionRecord, Transcript, normalize_hashtag
-from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer
+from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer, require_text
 from .narrative import FocalNarrative
 
 DEDUP_POLICIES = ("per_response", "unique")
@@ -294,16 +294,18 @@ class HashingEmbedder:
 
 class RemoteEmbedder:
     """OpenAI-compatible embeddings client. Its settings are checked, and
-    its requests retried, by the ``HttpClient`` the remote chat backend
+    its calls retried, by the ``HttpClient`` the remote chat backend
     uses."""
 
     def __init__(self, base_url: str, model: str, **settings):
         """``settings`` are ``HttpClient``'s keyword arguments."""
-        self._client = HttpClient(base_url, "/embeddings", model, **settings)
+        self._client = HttpClient(base_url, **settings)
+        require_text("model", model)
+        self._model = model
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        payload = {"model": self._client.model, "input": list(texts)}
-        return self._client.post(payload, _embedding_rows, EmbedderUnavailableError)[0]
+        payload = {"model": self._model, "input": list(texts)}
+        return self._client.post("/embeddings", payload, _embedding_rows, EmbedderUnavailableError)[0]
 
 
 def _embedding_rows(reply: dict) -> list[list[float]]:

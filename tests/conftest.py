@@ -54,8 +54,9 @@ class StubServer:
     """Scriptable chat-completions / embeddings endpoint.
 
     ``script`` is a list of planned replies consumed in request order:
-    an int is an HTTP error status, a string becomes the chat message
-    content, and a dict is returned verbatim. When the script runs dry,
+    an int is an HTTP error status, a ``(status, headers)`` pair is one
+    sent with those headers, a string becomes the chat message content,
+    and a dict is returned verbatim. When the script runs dry,
     requests get a default '#stub' completion. Every request body is
     recorded for assertions.
     """
@@ -75,7 +76,12 @@ class StubServer:
                     outer.requests.append((self.path, payload, headers))
                     planned = outer.script.pop(0) if outer.script else None
                 if isinstance(planned, int):
-                    self.send_response(planned)
+                    planned = (planned, {})
+                if isinstance(planned, tuple):
+                    status, extra = planned
+                    self.send_response(status)
+                    for name, value in extra.items():
+                        self.send_header(name, value)
                     self.end_headers()
                     return
                 if isinstance(planned, dict):

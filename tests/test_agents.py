@@ -1,15 +1,17 @@
 """Backend implementations and the interaction-table wire format."""
 
 import csv
+import http.client
 import io
 import json
 import random
 import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,18 +25,24 @@ from hashnet import (
     RemoteBackend,
     ReplayBackend,
     ReplayGapError,
+    RunConfig,
+    TopologySpec,
     mock_imitate,
+    run_simulation,
 )
-from hashnet import agents
+from hashnet import agents, engine
 from hashnet.agents import (
     INTERACTION_TABLE_HEADER,
     NO_HISTORY,
     History,
+    HttpStatusError,
+    build_backends,
     is_retryable,
     parse_interaction_table,
     render_interaction_table,
 )
 
+from conftest import FIXTURES
 from oracles import csv_line, prompt_reference
 
 
@@ -459,8 +467,37 @@ class TestRemoteBackend:
         assert (response.raw_text, response.attempt) == ("#ok", 2)
 
     def test_transport_and_malformed_replies_are_retryable(self):
-        assert is_retryable(requests.ConnectionError("refused"))
+        assert is_retryable(ConnectionRefusedError("refused"))
+        assert is_retryable(http.client.RemoteDisconnected("closed without a reply"))
+        assert is_retryable(TimeoutError("timed out"))
         assert is_retryable(ValueError("not JSON"))
+
+    def test_only_408_429_and_5xx_statuses_are_retryable(self):
+        statuses = (301, 302, 307, 404, 408, 429, 503)
+        assert [status for status in statuses if is_retryable(HttpStatusError(status))] == [408, 429, 503]
+
+    def test_redirect_is_not_followed(self, stub_server):
+        stub_server.script.append((302, {"Location": stub_server.base_url + "/chat/completions"}))
+        backend = RemoteBackend(stub_server.base_url, "m", backoff=0.01)
+        with pytest.raises(BackendUnavailableError, match="HTTP status 302"):
+            backend.respond(request(), rng())
+        assert len(stub_server.requests) == 1
+
+    @pytest.mark.parametrize("status, retry_after, timeout, slept", [
+        (503, "2", 60, 2),
+        (429, "120", 5, 5),
+        (503, "0", 60, 0.5),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 60, 0.5),
+        (500, "2", 60, 0.5),
+    ], ids=["longer-than-backoff", "capped-at-timeout", "shorter-than-backoff", "http-date", "not-429-or-503"])
+    def test_retry_after_stretches_the_backoff(self, stub_server, monkeypatch, status, retry_after, timeout, slept):
+        # the larger of the backoff (0.5 s) and a delta-seconds Retry-After, up to the timeout
+        sleeps = []
+        monkeypatch.setattr(agents.time, "sleep", sleeps.append)
+        stub_server.script.extend([(status, {"Retry-After": retry_after}), "#ok"])
+        backend = RemoteBackend(stub_server.base_url, "m", backoff=0.5, timeout=timeout)
+        assert backend.respond(request(), rng()).attempt == 2
+        assert sleeps == [slept]
 
     def test_unreachable_endpoint(self):
         backend = RemoteBackend("http://127.0.0.1:1/v1", "m", max_retries=1, timeout=0.5)
@@ -471,6 +508,146 @@ class TestRemoteBackend:
         stub_server.script.append({"choices": [{"text": "#LegacyStyle"}]})
         backend = RemoteBackend(stub_server.base_url, "m")
         assert backend.respond(request(), rng()).raw_text == "#LegacyStyle"
+
+
+class KeepAliveServer:
+    """An HTTP/1.1 chat-completions endpoint that keeps connections open,
+    counting the connections it accepts and the requests it answers. With
+    ``close_after_reply`` it closes each connection once its reply is sent,
+    without saying so in the reply, and releases ``closed``."""
+
+    def __init__(self, latency=0.0, close_after_reply=False):
+        self.connections = 0
+        self.requests = 0
+        self.closed = threading.Semaphore(0)
+        lock = threading.Lock()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    outer.connections += 1
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with lock:
+                    outer.requests += 1
+                time.sleep(latency)
+                data = json.dumps({"choices": [{"message": {"content": "#ok"}}]}).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = close_after_reply
+
+            def log_message(self, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                outer.closed.release()
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        host, port = self._server.server_address[:2]
+        self.base_url = f"http://{host}:{port}/v1"
+        threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+
+    def stop(self):
+        self._server.shutdown()
+        self._server.server_close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    servers = []
+
+    def start(**options):
+        servers.append(KeepAliveServer(**options))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+class TestConnectionReuse:
+    def test_keep_alive_connection_carries_every_call(self, keep_alive_server):
+        server = keep_alive_server()
+        backend = RemoteBackend(server.base_url, "m")
+        assert [backend.respond(request(), rng()).attempt for _ in range(3)] == [1, 1, 1]
+        assert (server.requests, server.connections) == (3, 1)
+        backend.client.close()
+
+    def test_dropped_idle_connection_costs_no_attempt(self, keep_alive_server):
+        server = keep_alive_server(close_after_reply=True)
+        backend = RemoteBackend(server.base_url, "m", backoff=0.01)
+        assert backend.respond(request(), rng()).attempt == 1
+        assert server.closed.acquire(timeout=5)  # the pooled connection is now closed at the server
+        assert backend.respond(request(), rng()).attempt == 1
+        assert (server.requests, server.connections) == (2, 2)
+        backend.client.close()
+
+    def test_http_1_0_server_gets_a_connection_per_call(self, stub_server):
+        # the conftest stub closes after each reply and says so
+        backend = RemoteBackend(stub_server.base_url, "m")
+        assert [backend.respond(request(), rng()).attempt for _ in range(3)] == [1, 1, 1]
+        assert len(stub_server.requests) == 3
+
+    def test_concurrent_calls_open_at_most_one_connection_each(self, keep_alive_server):
+        server = keep_alive_server(latency=0.02)
+        backend = RemoteBackend(server.base_url, "m")
+        threads_n, calls = 4, 5
+        start = threading.Barrier(threads_n)
+        attempts = []
+
+        def work():
+            start.wait()
+            for _ in range(calls):
+                attempts.append(backend.respond(request(), rng()).attempt)
+
+        threads = [threading.Thread(target=work) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the pool's check-out and check-in too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        backend.client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert attempts == [1] * (threads_n * calls)
+        assert server.requests == threads_n * calls
+        assert 1 <= server.connections <= threads_n
+
+    def test_a_run_closes_its_connections(self, keep_alive_server, monkeypatch):
+        # the backends outlive the run here, so only an explicit close ends the connections
+        server = keep_alive_server()
+        built = []
+        monkeypatch.setattr(engine, "build_backends", lambda specs: built.append(build_backends(specs)) or built[-1])
+        specs = tuple(AgentSpec(i, "remote", {"base_url": server.base_url, "model": f"agent-{i}"}) for i in range(4))
+        config = RunConfig(TopologySpec(n=4, k=2, p=0.0), 2, specs, str(FIXTURES / "synthetic_narrative.json"),
+                           parallelism=2)
+        assert len(run_simulation(config).records) == 4
+        assert 1 <= server.connections <= 2
+        for _ in range(server.connections):
+            assert server.closed.acquire(timeout=5)
+
+    def test_agents_on_one_endpoint_share_one_client(self):
+        url = "http://127.0.0.1:1/v1"
+        specs = [AgentSpec(i, "remote", {"base_url": url, "model": f"agent-{i}"}) for i in range(20)]
+        specs.append(AgentSpec(20, "remote", {"base_url": url, "model": "agent-20", "timeout": 5}))
+        backends = build_backends(specs)
+        assert len({id(backends[i].client) for i in range(20)}) == 1
+        assert backends[20].client is not backends[0].client
 
 
 class TestSpecAndDispatch:
@@ -491,7 +668,11 @@ class TestSpecAndDispatch:
         ("max_in_flight", 0, "unknown field"),
         ("timeout", "60", "must be a number > 0"),
         ("backoff", -1, "must be a number >= 0"),
-    ], ids=["max_retries-three", "max_retries-True", "max_in_flight-0", "timeout-60", "backoff--1"])
+        ("base_url", "127.0.0.1:8000/v1", "must be an http:// or https:// URL"),
+        ("base_url", "ftp://127.0.0.1/v1", "must be an http:// or https:// URL"),
+        ("base_url", "http://127.0.0.1:99999/v1", "must be an http:// or https:// URL"),
+    ], ids=["max_retries-three", "max_retries-True", "max_in_flight-0", "timeout-60", "backoff--1",
+            "base_url-no-scheme", "base_url-ftp", "base_url-port-out-of-range"])
     def test_remote_params_checked_by_constructor(self, key, value, message):
         spec = AgentSpec(3, "remote", {"base_url": "http://127.0.0.1:1/v1", "model": "m", key: value})
         [err] = spec.violations()

@@ -706,3 +706,30 @@ def test_console_flow_needs_no_numpy(tmp_path, demo_config_path, capsys):
         for name in names:
             normal = (tmp_path / "normal" / part / name).read_bytes()
             assert (tmp_path / "blocked" / part / name).read_bytes() == normal, f"{part}/{name}"
+
+
+def test_remote_flow_needs_no_requests(tmp_path, stub_server):
+    # the HTTP client is the standard library's: with requests unimportable, a
+    # remote config validates and simulates, and importing the CLI loads no
+    # HTTP stack at all
+    import os
+    import subprocess
+    import sys
+
+    blocker = tmp_path / "blocker"
+    (blocker / "requests").mkdir(parents=True)
+    (blocker / "requests" / "__init__.py").write_text('raise ImportError("requests is blocked")\n', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(blocker), str(REPO / "src")])}
+
+    code = "import sys, hashnet.cli\nloaded = {'requests', 'http.client', 'ssl'} & set(sys.modules)\nassert not loaded, loaded\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+
+    config = str(write_config(tmp_path, _remote_doc(base_url=stub_server.base_url)))
+    for argv in (["validate", "--config", config], ["simulate", "--config", config, "--out", str(tmp_path / "run")]):
+        result = subprocess.run([sys.executable, "-m", "hashnet", *argv], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, (argv, result.stdout, result.stderr)
+    transcript = read_transcript(tmp_path / "run" / "transcript.jsonl")
+    assert transcript.rounds_completed() == 3
+    assert transcript.fallback_count() == 0
+    assert len(stub_server.requests) == 2 * len(transcript.records)

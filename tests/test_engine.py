@@ -20,6 +20,7 @@ from hashnet import (
     InteractionRecord,
     Network,
     ParseError,
+    ReplayGapError,
     RunConfig,
     TopologySpec,
     Transcript,
@@ -678,6 +679,57 @@ class TestFallbacks:
         reloaded = read_transcript(out)
         assert reloaded.abort == transcript.abort
         assert len(reloaded.records) == len(transcript.records)
+
+
+class CountingList(list):
+    """A list that counts the elements read from it by index, slice or iteration."""
+
+    visits = 0
+
+    def __getitem__(self, key):
+        found = super().__getitem__(key)
+        self.visits += len(found) if isinstance(key, slice) else 1
+        return found
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.visits += 1
+            yield item
+
+
+class TestRoundLookup:
+    @pytest.fixture
+    def transcripts(self, tmp_path):
+        config = make_mock_config(n=10, rounds=4, seed=11)
+        path = tmp_path / "full.jsonl"
+        full = run_simulation(config, out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        cut = tmp_path / "partial.jsonl"
+        cut.write_text("".join(lines[:-2]), encoding="utf-8")
+        partial = read_transcript(cut)
+        # replaying past the recorded rounds ends the file with an abort marker
+        replay = tuple(AgentSpec(i, "replay", {"transcript": str(path)}) for i in range(10))
+        with pytest.raises(ReplayGapError):
+            run_simulation(replace(config, rounds=6, agents=replay), out_path=tmp_path / "aborted.jsonl")
+        aborted = read_transcript(tmp_path / "aborted.jsonl")
+        assert partial.partial and aborted.abort is not None and not full.partial
+        return {"full": full, "partial": partial, "aborted": aborted}
+
+    def test_each_round_reads_as_its_group(self, transcripts):
+        for name, transcript in transcripts.items():
+            groups = transcript.rounds()
+            assert len(groups) == (3 if name == "partial" else 4)
+            for round_index in range(-1, 8):
+                expected = groups[round_index - 1] if 1 <= round_index <= len(groups) else []
+                assert transcript.records_for_round(round_index) == expected, (name, round_index)
+
+    def test_reading_every_round_visits_each_record_about_once(self):
+        # each record once, in its round's slice, plus two bisections per round
+        transcript = run_simulation(make_mock_config(n=20, rounds=100, seed=3))
+        records = CountingList(transcript.records)
+        counted = Transcript(transcript.header, records)
+        assert [counted.records_for_round(r) for r in range(1, 101)] == transcript.rounds()
+        assert records.visits <= len(records) + 100 * 4 * len(records).bit_length()
 
 
 class TestTranscriptIO:
