@@ -140,8 +140,6 @@ class History:
         return self.rows[range(self.length)[key]]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, History) and other.rows is self.rows:
-            return other.length == self.length
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
         return len(other) == self.length and self.rows[:self.length] == list(other)
@@ -602,6 +600,8 @@ def is_retryable(err: Exception) -> bool:
 
 def _first_choice_text(data: dict) -> str:
     choice = data["choices"][0]
+    if not isinstance(choice, dict):
+        raise ValueError(f"choice is not an object: {choice!r}")
     message = choice.get("message")
     if isinstance(message, dict) and isinstance(message.get("content"), str):
         return message["content"]

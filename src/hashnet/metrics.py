@@ -309,8 +309,10 @@ class RemoteEmbedder:
 
 
 def _embedding_rows(reply: dict) -> list[list[float]]:
-    """The reply's vectors in input order; rows of unequal length are a
-    malformed reply (``ValueError``)."""
+    """The reply's vectors in input order; a row that is not an object, or
+    rows of unequal length, are a malformed reply (``ValueError``)."""
+    if not all(isinstance(entry, dict) for entry in reply["data"]):
+        raise ValueError("embedding rows must be objects")
     rows = sorted(reply["data"], key=lambda entry: entry.get("index", 0))
     vectors = [[float(value) for value in row["embedding"]] for row in rows]
     if len({len(vector) for vector in vectors}) > 1:

@@ -29,8 +29,6 @@ already have a table), so they pay nothing for their per-agent stream.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 _TOPOLOGY_STREAM = 0
 _PAIRING_STREAM = 1
 _AGENT_STREAM = 2
@@ -78,24 +76,6 @@ def _hashmix(value: int, const: int) -> tuple[int, int]:
     return value ^ (value >> _XSHIFT), const
 
 
-@lru_cache(maxsize=8)
-def _mixed_head(head: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The pool after the first ``_POOL_SIZE`` entropy words are mixed in,
-    and the ``hashmix`` constant reached. Every substream of one root seed
-    starts with the same words, so the cache serves a whole run."""
-    const = _INIT_A
-    pool = []
-    for word in head:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), const
-
-
 def generate_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> list[int]:
     """numpy's ``SeedSequence(entropy, spawn_key=spawn_key).generate_state(
     n_words, numpy.uint32)``, as ints. Two consecutive words, low first,
@@ -107,9 +87,16 @@ def generate_state(entropy: int, spawn_key: tuple[int, ...], n_words: int) -> li
     if key and len(run) < _POOL_SIZE:
         run += [0] * (_POOL_SIZE - len(run))
     data = run + key
-    head = data[:_POOL_SIZE]
-    pool, const = _mixed_head(tuple(head + [0] * (_POOL_SIZE - len(head))))
-    pool = list(pool)
+    const = _INIT_A
+    pool = []
+    for word in data[:_POOL_SIZE] + [0] * (_POOL_SIZE - len(data)):
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
     for word in data[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             value, const = _hashmix(word, const)

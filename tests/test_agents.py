@@ -466,6 +466,18 @@ class TestRemoteBackend:
         response = backend.respond(request(), rng())
         assert (response.raw_text, response.attempt) == ("#ok", 2)
 
+    @pytest.mark.parametrize("bad", [{"choices": [None]}, {"choices": ["#x"]}, {"choices": "#x"}],
+                             ids=["null-choice", "string-choice", "string-choices"])
+    def test_reply_of_the_wrong_shape_is_retried(self, stub_server, bad):
+        stub_server.script.extend([bad, "#ok"])
+        backend = RemoteBackend(stub_server.base_url, "m", backoff=0.01)
+        response = backend.respond(request(), rng())
+        assert (response.raw_text, response.attempt) == ("#ok", 2)
+        stub_server.script.extend([bad] * 3)
+        with pytest.raises(BackendUnavailableError, match="ValueError"):
+            RemoteBackend(stub_server.base_url, "m", max_retries=3, backoff=0.01).respond(request(), rng())
+        assert len(stub_server.requests) == 5
+
     def test_transport_and_malformed_replies_are_retryable(self):
         assert is_retryable(ConnectionRefusedError("refused"))
         assert is_retryable(http.client.RemoteDisconnected("closed without a reply"))

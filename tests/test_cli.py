@@ -331,6 +331,17 @@ class TestSimulate:
         assert transcript.abort is not None
         assert transcript.records  # partial transcript retained
 
+    def test_remote_reply_of_the_wrong_shape_falls_back(self, tmp_path, stub_server):
+        # a 2xx reply with no usable choice is retried, then unavailable: the
+        # run records a fallback and goes on
+        stub_server.script.append({"choices": [None]})
+        path = write_config(tmp_path, _remote_doc(base_url=stub_server.base_url, max_retries=1))
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_OK
+        transcript = read_transcript(tmp_path / "out" / "transcript.jsonl")
+        assert transcript.abort is None and transcript.rounds_completed() == 3
+        assert [r.round for r in transcript.records if r.unavailable_a or r.unavailable_b] == [1]
+        assert transcript.fallback_count() == 1
+
 
 def _replay_doc(demo_config_path, transcript_path, rounds):
     doc = json.loads(demo_config_path.read_text(encoding="utf-8"))
@@ -454,6 +465,20 @@ class TestMetrics:
             assert json.loads((metrics_dir / "metadata.json").read_text())["statuses"]["alignment"].startswith(status)
             assert (metrics_dir / "entropy.csv").is_file() and not (metrics_dir / "alignment.csv").exists()
         assert f"alignment: {status}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_row", [None, [1.0, 2.0]], ids=["null-row", "list-row"])
+    def test_embedding_row_of_the_wrong_shape_is_retried(self, tmp_path, monkeypatch, stub_server, bad_row):
+        sleeps = []
+        monkeypatch.setattr("hashnet.agents.time.sleep", sleeps.append)
+        run_config = write_config(tmp_path, small_mock_doc())
+        assert run_cli("simulate", "--config", str(run_config), "--out", str(tmp_path / "run")) == EXIT_OK
+        embedding = {"provider": "remote", "base_url": stub_server.base_url, "model": "m"}
+        config = write_config(tmp_path, small_mock_doc(metrics={"embedding": embedding}), name="metrics.json")
+        stub_server.script.append({"data": [bad_row]})
+        assert run_cli("metrics", str(tmp_path / "run" / "transcript.jsonl"), "--config", str(config),
+                       "--out", str(tmp_path / "m")) == EXIT_OK
+        assert json.loads((tmp_path / "m" / "metadata.json").read_text())["statuses"]["alignment"] == "computed"
+        assert len(sleeps) == 1 and stub_server.requests[0][0] == stub_server.requests[1][0] == "/v1/embeddings"
 
     @pytest.mark.parametrize("output", [None, {"transcript": "out/t.jsonl", "metrics_dir": "out/m"}])
     def test_default_output_locations(self, tmp_path, monkeypatch, output):

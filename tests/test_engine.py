@@ -31,6 +31,7 @@ from hashnet import (
     mock_imitate,
     normalize_hashtag,
     parse_response,
+    rank_abundance,
     read_transcript,
     run_simulation,
     write_transcript,
@@ -533,6 +534,57 @@ class TestRunSimulation:
         assert not transcript.partial
         assert transcript.records == written.records
         assert transcript.rounds_completed() == rounds
+
+
+class TestWholeRun:
+    @given(
+        st.lists(st.text(st.sampled_from('#ab,"\r\n '), min_size=1, max_size=6), min_size=1, max_size=4, unique=True),
+        st.integers(3, 10),
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.integers(1, 6),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+    )
+    @example(lexicon=["#a"], n=3, k=2, p=0.0, rounds=4, seed=2**64 - 1, remote=True)  # aborts in round 1
+    @settings(max_examples=20, deadline=None)
+    def test_simulate_read_metrics_and_replay_agree(self, lexicon, n, k, p, rounds, seed, remote):
+        # a run is the same file at parallelism 1 and 4, reads back to the
+        # records it returned, gives the same metrics from disk, and replays
+        # to the same lines; with a remote agent on a closed port, that
+        # agent is unavailable whenever it is paired, and the run may abort
+        assume(k < n)
+        config = make_mock_config(n=n, k=k, p=p, rounds=rounds, seed=seed, lexicon=tuple(lexicon))
+        if remote:
+            closed = AgentSpec(0, "remote", {"base_url": "http://127.0.0.1:1/v1", "model": "m",
+                                             "max_retries": 1, "backoff": 0})
+            config = replace(config, agents=(closed, *config.agents[1:]))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, f"p{parallelism}.jsonl") for parallelism in (1, 4)]
+            written = [run_simulation(replace(config, parallelism=parallelism), out_path=path)
+                       for parallelism, path in zip((1, 4), paths)]
+            replay = tuple(AgentSpec(i, "replay", {"transcript": str(paths[0])}) for i in range(n))
+            replayed_path = Path(tmp, "replayed.jsonl")
+            run_simulation(replace(config, agents=replay), out_path=replayed_path)
+            lines = [path.read_bytes().splitlines(keepends=True) for path in (*paths, replayed_path)]
+            transcript = read_transcript(paths[0])
+
+        memory = written[0]
+        assert written[1].records == memory.records and written[1].abort == memory.abort
+        # the header holds the wall-clock time when an agent is remote, and the
+        # replay's names its own backends; every line after it is the same bytes
+        assert lines[0] == lines[1] or remote
+        assert lines[0][1:] == lines[1][1:] == lines[2][1:]
+        assert transcript.records == memory.records and transcript.abort == memory.abort
+        assert (memory.abort is not None) <= remote
+
+        by_round = [[r for r in memory.records if r.round == i] for i in range(1, memory.rounds_completed() + 1)]
+        for read in (transcript, memory):
+            assert read.rounds() == by_round
+            assert [read.records_for_round(i) for i in range(memory.rounds_completed() + 2)] == [[], *by_round, []]
+        for metric in ("entropy", "dominant_share"):
+            assert metric_series(transcript, metric) == metric_series(memory, metric)
+        assert rank_abundance(transcript) == rank_abundance(memory)
 
 
 class TestAgentRng:
