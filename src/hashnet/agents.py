@@ -25,12 +25,13 @@ import os
 import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
 from .errors import (
-    BackendUnavailableError, Checked, ConfigError, ReplayGapError, is_integer, is_number, reject_unknown, require_text,
+    BackendUnavailableError, ConfigError, ReplayGapError, is_integer, is_number, raise_first_violation, reject_unknown,
+    require_text,
 )
 from .rng import Stream
 
@@ -53,8 +54,7 @@ CLOSING_PARAGRAPH = (
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class DecodeParams(Checked):
+class DecodeParams(NamedTuple):
     """Sampling parameters forwarded to generative backends."""
 
     temperature: float = 0.7
@@ -68,14 +68,17 @@ class DecodeParams(Checked):
             found.append(ConfigError("decode.max_tokens", f"must be a positive integer, got {self.max_tokens!r}"))
         return found
 
+    validate = raise_first_violation
 
-@dataclass(frozen=True)
-class AgentSpec(Checked):
-    """Identity plus the strategy that produces this agent's responses."""
+
+class AgentSpec(NamedTuple):
+    """Identity plus the strategy that produces this agent's responses.
+    Absent ``backend_params`` are an empty read-only mapping, which every
+    spec without them shares."""
 
     agent_id: int
     backend: str
-    backend_params: Mapping = field(default_factory=dict)
+    backend_params: Mapping = MappingProxyType({})
 
     def violations(self) -> list[ConfigError]:
         """Checks the backend parameters by constructing the backend, whose
@@ -94,6 +97,8 @@ class AgentSpec(Checked):
         except ConfigError as err:
             return [ConfigError(f"{where}.backend_params.{err.field}", err.message)]
         return []
+
+    validate = raise_first_violation
 
 
 @Sequence.register

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agents import AgentSpec, DecodeParams, from_params
@@ -25,7 +24,6 @@ from .engine import (
     run_simulation,
 )
 from .errors import (
-    Checked,
     ConfigError,
     EmbedderUnavailableError,
     HashnetError,
@@ -33,6 +31,7 @@ from .errors import (
     TranscriptError,
     is_integer,
     is_number,
+    raise_first_violation,
 )
 from .metrics import (
     DEDUP_POLICIES,
@@ -80,15 +79,26 @@ _EMBEDDING_PROVIDERS = {
 }
 
 
-@dataclass
-class MetricsSettings(Checked):
-    """Resolved metrics section of a config document."""
+class MetricsSettings:
+    """Resolved metrics section of a config document, whose keys are the
+    ``_fields``; absent ``embedding`` settings are a fresh copy of the
+    default."""
 
-    reference_corpus: Path | None = None
-    tokenization: str = "hashtag"
-    entropy_base: float = 2.0
-    dedup: str = "per_response"
-    embedding: dict = field(default_factory=lambda: dict(DEFAULT_EMBEDDING))
+    _fields = ("reference_corpus", "tokenization", "entropy_base", "dedup", "embedding")
+
+    def __init__(
+        self,
+        reference_corpus: Path | None = None,
+        tokenization: str = "hashtag",
+        entropy_base: float = 2.0,
+        dedup: str = "per_response",
+        embedding: dict | None = None,
+    ):
+        self.reference_corpus = reference_corpus
+        self.tokenization = tokenization
+        self.entropy_base = entropy_base
+        self.dedup = dedup
+        self.embedding = dict(DEFAULT_EMBEDDING) if embedding is None else embedding
 
     def violations(self) -> list[ConfigError]:
         found = []
@@ -104,6 +114,8 @@ class MetricsSettings(Checked):
             found.append(ConfigError(f"metrics.embedding.{err.field}", err.message))
         return found
 
+    validate = raise_first_violation
+
     def embedder(self):
         """The configured embedder; its constructor checks the settings."""
         settings = dict(self.embedding)
@@ -114,12 +126,14 @@ class MetricsSettings(Checked):
         return from_params(*_EMBEDDING_PROVIDERS[provider], settings)
 
 
-@dataclass
 class LoadedConfig:
-    run: RunConfig
-    metrics: MetricsSettings
-    transcript_out: Path | None
-    metrics_dir: Path | None
+    """A checked config document: the run, its metrics settings and where outputs go."""
+
+    def __init__(self, run: RunConfig, metrics: MetricsSettings, transcript_out: Path | None, metrics_dir: Path | None):
+        self.run = run
+        self.metrics = metrics
+        self.transcript_out = transcript_out
+        self.metrics_dir = metrics_dir
 
 
 def _resolve(base_dir: Path, value: str) -> Path:
@@ -187,9 +201,9 @@ def _parse(
         return {}
 
     def fields_of(name: str, cls) -> dict:
-        """Section ``name``'s keys that are fields of dataclass ``cls``; others are unknown."""
+        """Section ``name``'s keys that are in ``cls._fields``; others are unknown."""
         value = section(doc, name, name)
-        names = {f.name for f in fields(cls)}
+        names = set(cls._fields)
         unknown(value, f"{name}.", names)
         return {key: item for key, item in value.items() if key in names}
 

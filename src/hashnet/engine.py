@@ -24,10 +24,8 @@ import hashlib
 import json
 import operator
 import re
-from concurrent.futures import ThreadPoolExecutor
+import time
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -44,7 +42,8 @@ from .agents import (
     render_prompt,
 )
 from .errors import (
-    BackendUnavailableError, Checked, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
+    BackendUnavailableError, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
+    raise_first_violation,
 )
 from .narrative import FocalNarrative, load_narrative
 from .topology import Network, TopologySpec, generate_network, pair_round
@@ -294,17 +293,30 @@ def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hasht
 _round_of = operator.attrgetter("round")
 
 
-@dataclass
 class Transcript:
     """Header plus interaction records ordered by (round, agent_a); the
     durable artifact of a run. ``abort`` carries the marker object when a
     run stopped early. ``partial`` is set when records of the last round are
-    missing, as in a file cut mid-round; ``records`` keeps them and ``rounds()`` drops them."""
+    missing, as in a file cut mid-round; ``records`` keeps them and ``rounds()`` drops them.
+    Two transcripts are equal when these four attributes are."""
 
-    header: dict
-    records: list[InteractionRecord]
-    abort: dict | None = None
-    partial: bool = False
+    def __init__(
+        self, header: dict, records: list[InteractionRecord], abort: dict | None = None, partial: bool = False
+    ):
+        self.header = header
+        self.records = records
+        self.abort = abort
+        self.partial = partial
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.header, self.records, self.abort, self.partial) == (
+            other.header, other.records, other.abort, other.partial)
+
+    def __repr__(self) -> str:
+        return (f"Transcript(header={self.header!r}, records={self.records!r}, "
+                f"abort={self.abort!r}, partial={self.partial!r})")
 
     def rounds_completed(self) -> int:
         """The last round with records, or the one before it when that round is partial."""
@@ -490,8 +502,7 @@ def _write_lines(handle: IO[str] | None, docs: Iterable[dict | InteractionRecord
 # --- run configuration and orchestration -------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig(Checked):
+class RunConfig(NamedTuple):
     """Everything a run depends on. With mock or replay backends the
     resulting transcript is a pure function of this object."""
 
@@ -537,11 +548,13 @@ class RunConfig(Checked):
             found.append(ConfigError("narrative", f"must be a nonempty path string, got {self.narrative_path!r}"))
         return found
 
+    validate = raise_first_violation
+
     def resolved_topology(self) -> TopologySpec:
         """Topology with its seed pinned (derived from the root seed when unset)."""
         if self.topology.seed is not None:
             return self.topology
-        return replace(self.topology, seed=rng_streams.topology_seed(self.seed))
+        return self.topology._replace(seed=rng_streams.topology_seed(self.seed))
 
     def is_deterministic(self) -> bool:
         return all(spec.backend in ("mock", "replay") for spec in self.agents)
@@ -603,9 +616,7 @@ def run_simulation(
 
     snapshot = config_snapshot(config)
     run_id = config.run_id or config_digest(snapshot)[:12]
-    timestamp = EPOCH_TIMESTAMP if config.is_deterministic() else (
-        datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
+    timestamp = EPOCH_TIMESTAMP if config.is_deterministic() else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     header = {
         "run_id": run_id,
         "config": snapshot,
@@ -626,7 +637,11 @@ def run_simulation(
         # Registered before the pool, so they run after its calls have returned.
         for client in {backend.client for backend in backends.values() if isinstance(backend, RemoteBackend)}:
             stack.callback(client.close)
-        pool = stack.enter_context(ThreadPoolExecutor(config.parallelism)) if config.parallelism > 1 else None
+        pool = None
+        if config.parallelism > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a serial run never loads the pool
+
+            pool = stack.enter_context(ThreadPoolExecutor(config.parallelism))
 
         def stop(round_index: int, reason: str) -> None:
             transcript.abort = {"abort": True, "round": round_index, "reason": reason}

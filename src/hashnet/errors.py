@@ -16,17 +16,12 @@ class ConfigError(HashnetError):
         self.message = message
 
 
-class Checked:
-    """Base for config objects: ``violations()`` lists every problem and
-    ``validate()`` raises the first of them."""
-
-    def violations(self, **context) -> list[ConfigError]:
-        raise NotImplementedError
-
-    def validate(self, **context) -> None:
-        found = self.violations(**context)
-        if found:
-            raise found[0]
+def raise_first_violation(self, **context) -> None:
+    """The ``validate()`` method of every config object: ``violations()``
+    lists every problem, and this raises the first of them."""
+    found = self.violations(**context)
+    if found:
+        raise found[0]
 
 
 def is_integer(value) -> bool:

@@ -17,9 +17,8 @@ import json
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
 
 from .agents import HttpClient
 from .engine import InteractionRecord, Transcript, normalize_hashtag
@@ -34,8 +33,7 @@ TOKENIZATION_MODES = ("hashtag", "words")
 VALUE_FORMAT = ".12g"
 
 
-@dataclass(frozen=True)
-class HashtagDistribution:
+class HashtagDistribution(NamedTuple):
     """Occurrence counts of normalized hashtags; ``total`` is their sum."""
 
     counts: Mapping[str, int]
@@ -49,16 +47,14 @@ class HashtagDistribution:
         return cls(counts=dict(Counter(normalized)))
 
 
-@dataclass(frozen=True)
-class MetricSeries:
+class MetricSeries(NamedTuple):
     """One number per round, rounds strictly increasing."""
 
     name: str
     values: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
-class RankAbundance:
+class RankAbundance(NamedTuple):
     """Top hashtags by count over a whole run, plus the entropy of the
     full (untruncated) distribution."""
 
@@ -66,8 +62,7 @@ class RankAbundance:
     entropy: float
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Per-hashtag best-matching narrative event and per-event totals."""
 
     assignments: Mapping[str, tuple[str, float]]
@@ -164,8 +159,7 @@ def dominant_share(dist: HashtagDistribution) -> float:
 # --- unigram reference model --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnigramModel:
+class UnigramModel(NamedTuple):
     """Add-one-smoothed unigram distribution with a single
     out-of-vocabulary type; probabilities sum to one."""
 
@@ -309,11 +303,16 @@ class RemoteEmbedder:
 
 
 def _embedding_rows(reply: dict) -> list[list[float]]:
-    """The reply's vectors in input order; a row that is not an object, or
-    rows of unequal length, are a malformed reply (``ValueError``)."""
-    if not all(isinstance(entry, dict) for entry in reply["data"]):
+    """The reply's vectors in input order. A row that is not an object,
+    indices other than the integers 0..len-1 each once, or rows of unequal
+    length are a malformed reply (``ValueError``)."""
+    rows = reply["data"]
+    if not all(isinstance(entry, dict) for entry in rows):
         raise ValueError("embedding rows must be objects")
-    rows = sorted(reply["data"], key=lambda entry: entry.get("index", 0))
+    indices = [entry.get("index") for entry in rows]
+    if not all(map(is_integer, indices)) or sorted(indices) != list(range(len(rows))):
+        raise ValueError(f"embedding row indices must be 0..{len(rows) - 1}, each once, got {indices!r}")
+    rows = sorted(rows, key=lambda entry: entry["index"])
     vectors = [[float(value) for value in row["embedding"]] for row in rows]
     if len({len(vector) for vector in vectors}) > 1:
         raise ValueError("embedding rows differ in length")

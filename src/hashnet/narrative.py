@@ -11,25 +11,25 @@ automatically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import NarrativeLoadError
 
 _BUNDLED_PREFIX = "bundled:"
+# The bundled narratives' directory. Read as files, not through
+# importlib.resources, which on Python 3.12+ imports inspect at start-up.
+_DATA_DIR = Path(__file__).with_name("data")
 
 
-@dataclass(frozen=True)
-class NarrativeEvent:
+class NarrativeEvent(NamedTuple):
     """One causal event of a narrative: a short label and its description."""
 
     label: str
     description: str
 
 
-@dataclass(frozen=True)
-class FocalNarrative:
+class FocalNarrative(NamedTuple):
     """A focal narrative: ``full_text`` is inserted verbatim into prompts;
     ``events`` may be empty, in which case alignment is unavailable."""
 
@@ -114,9 +114,13 @@ def save_narrative(narrative: FocalNarrative, path: str | Path) -> None:
 
 
 def bundled_narrative(name: str) -> FocalNarrative:
-    """Load one of the narratives shipped with the package."""
+    """Load one of the narratives shipped with the package. ``name`` must be
+    the name of one of its JSON files without the ``.json``, so no name
+    reaches a file outside the package."""
+    if name not in {path.stem for path in _DATA_DIR.glob("*.json")}:
+        raise NarrativeLoadError("$", f"no bundled narrative named {name!r}")
     try:
-        text = resources.files("hashnet.data").joinpath(f"{name}.json").read_text(encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError) as err:
-        raise NarrativeLoadError("$", f"no bundled narrative named {name!r}") from err
-    return narrative_from_dict(json.loads(text))
+        doc = json.loads((_DATA_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise NarrativeLoadError("$", f"invalid JSON in bundled narrative {name!r}: {err}") from err
+    return narrative_from_dict(doc)

@@ -9,15 +9,14 @@ by a uniformly random greedy maximal matching over the graph's edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import Checked, ConfigError, is_integer, is_number
+from .errors import ConfigError, is_integer, is_number, raise_first_violation
 from .rng import Stream
 
 
-@dataclass(frozen=True)
-class TopologySpec(Checked):
+class TopologySpec(NamedTuple):
     """Parameters of the interaction graph.
 
     ``seed`` may be left as None, in which case the engine derives it from
@@ -45,23 +44,35 @@ class TopologySpec(Checked):
             found.append(ConfigError("topology.seed", f"seed must be an unsigned 64-bit integer, got {self.seed!r}"))
         return found
 
+    validate = raise_first_violation
 
-@dataclass(frozen=True)
+
 class Network:
     """Undirected simple graph over agent indices ``0 .. n-1``.
 
-    Edges are stored as ``(lo, hi)`` index pairs with ``lo < hi``.
+    Edges are stored as ``(lo, hi)`` index pairs with ``lo < hi``. Two
+    networks are equal when their ``n`` and ``edges`` are.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for a, b in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"edge ({a}, {b}) is not a sorted pair of node indices below n={self.n}")
+            if not (0 <= a < b < n):
+                raise ValueError(f"edge ({a}, {b}) is not a sorted pair of node indices below n={n}")
+        self.n = n
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Network(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -91,8 +102,7 @@ class Network:
         return cls(n=n, edges=frozenset((a, b) for a in range(n) for b in range(a + 1, n)))
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(NamedTuple):
     """One round's partner assignment: disjoint edge pairs plus the
     agents left without an available partner."""
 

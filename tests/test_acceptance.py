@@ -8,7 +8,6 @@ Run:  pytest tests/test_acceptance.py -v -s
 import os
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,12 +178,11 @@ def test_criterion_6_determinism_and_replay(tmp_path):
     serial_path = tmp_path / "serial.jsonl"
     parallel_path = tmp_path / "parallel.jsonl"
     run_simulation(config, out_path=serial_path)
-    run_simulation(replace(config, parallelism=8), out_path=parallel_path)
+    run_simulation(config._replace(parallelism=8), out_path=parallel_path)
     assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     original = read_transcript(serial_path)
-    replay_config = replace(
-        config,
+    replay_config = config._replace(
         agents=tuple(AgentSpec(i, "replay", {"transcript": str(serial_path)}) for i in range(12)),
     )
     replayed = run_simulation(replay_config)

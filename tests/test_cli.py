@@ -3,6 +3,7 @@ report outputs, exit codes."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,18 @@ class TestValidate:
         path = write_config(tmp_path, small_mock_doc(topology={"n": 6, "k": 3, "p": 0.0}))
         assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
         assert "topology.k" in capsys.readouterr().out
+
+    def test_bundled_name_outside_the_package_is_a_violation(self, tmp_path, capsys):
+        # a name that climbs out of hashnet/data to a file that is not JSON
+        import os
+
+        import hashnet.data
+
+        (tmp_path / "notes.json").write_text("not json\n", encoding="utf-8")
+        name = os.path.relpath(tmp_path / "notes", Path(hashnet.data.__file__).parent)
+        path = write_config(tmp_path, small_mock_doc(narrative=f"bundled:{name}"))
+        assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
+        assert f"  narrative: no bundled narrative named {name!r}" in capsys.readouterr().out
 
     def test_zero_rounds_violation(self, tmp_path, capsys):
         path = write_config(tmp_path, small_mock_doc(rounds=0))
@@ -466,15 +479,22 @@ class TestMetrics:
             assert (metrics_dir / "entropy.csv").is_file() and not (metrics_dir / "alignment.csv").exists()
         assert f"alignment: {status}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad_row", [None, [1.0, 2.0]], ids=["null-row", "list-row"])
-    def test_embedding_row_of_the_wrong_shape_is_retried(self, tmp_path, monkeypatch, stub_server, bad_row):
+    @pytest.mark.parametrize("bad_rows", [
+        [None],
+        [[1.0, 2.0]],
+        # one row per event of bundled:fukushima, whose eight descriptions are embedded first
+        [{"index": min(i, 6), "embedding": [1.0, 1.0]} for i in range(8)],
+        [{"index": i + 1, "embedding": [1.0, 1.0]} for i in range(8)],
+        [{"embedding": [1.0, 1.0]}] + [{"index": i, "embedding": [1.0, 1.0]} for i in range(1, 8)],
+    ], ids=["null-row", "list-row", "repeated-index", "out-of-range-index", "missing-index"])
+    def test_embedding_row_of_the_wrong_shape_is_retried(self, tmp_path, monkeypatch, stub_server, bad_rows):
         sleeps = []
         monkeypatch.setattr("hashnet.agents.time.sleep", sleeps.append)
         run_config = write_config(tmp_path, small_mock_doc())
         assert run_cli("simulate", "--config", str(run_config), "--out", str(tmp_path / "run")) == EXIT_OK
         embedding = {"provider": "remote", "base_url": stub_server.base_url, "model": "m"}
         config = write_config(tmp_path, small_mock_doc(metrics={"embedding": embedding}), name="metrics.json")
-        stub_server.script.append({"data": [bad_row]})
+        stub_server.script.append({"data": bad_rows})
         assert run_cli("metrics", str(tmp_path / "run" / "transcript.jsonl"), "--config", str(config),
                        "--out", str(tmp_path / "m")) == EXIT_OK
         assert json.loads((tmp_path / "m" / "metadata.json").read_text())["statuses"]["alignment"] == "computed"
@@ -758,3 +778,44 @@ def test_remote_flow_needs_no_requests(tmp_path, stub_server):
     assert transcript.rounds_completed() == 3
     assert transcript.fallback_count() == 0
     assert len(stub_server.requests) == 2 * len(transcript.records)
+
+
+def test_serial_runs_load_no_generated_code_and_no_pool(tmp_path):
+    # value classes are named tuples or plain classes, the thread pool is
+    # imported only above parallelism 1, and the header clock is time's: so
+    # importing the CLI, validating and a serial simulate load none of these
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+unused = {"dataclasses", "inspect", "concurrent.futures", "datetime"} - set(sys.modules)
+from hashnet.cli import main
+config, out = sys.argv[1:]
+loaded = [sorted(unused & set(sys.modules))]
+assert main(["validate", "--config", config]) == 0
+loaded.append(sorted(unused & set(sys.modules)))
+assert main(["simulate", "--config", config, "--out", out + "/p1"]) == 0
+loaded.append(sorted(unused & set(sys.modules)))
+assert loaded == [[], [], []], loaded
+assert main(["simulate", "--config", config, "--parallelism", "4", "--out", out + "/p4"]) == 0
+assert "concurrent.futures" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    argv = [sys.executable, "-c", script, str(REPO / "demos" / "config_mock.json"), str(tmp_path)]
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "p1" / "transcript.jsonl").read_bytes() == (tmp_path / "p4" / "transcript.jsonl").read_bytes()
+
+
+def test_remote_run_header_timestamp_is_utc_now(tmp_path, stub_server):
+    import re
+    from datetime import datetime, timedelta, timezone
+
+    config = write_config(tmp_path, _remote_doc(base_url=stub_server.base_url))
+    assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+    stamp = read_transcript(tmp_path / "run" / "transcript.jsonl").header["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp), stamp
+    written = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    assert abs(datetime.now(timezone.utc) - written) < timedelta(minutes=1)

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -268,7 +267,7 @@ class TestRunSimulation:
         path_serial = tmp_path / "serial.jsonl"
         path_parallel = tmp_path / "parallel.jsonl"
         run_simulation(config, out_path=path_serial)
-        run_simulation(replace(config, parallelism=8), out_path=path_parallel)
+        run_simulation(config._replace(parallelism=8), out_path=path_parallel)
         assert path_serial.read_bytes() == path_parallel.read_bytes()
 
     def test_repeat_run_identical_bytes(self, tmp_path):
@@ -282,8 +281,7 @@ class TestRunSimulation:
         config = make_mock_config(n=8, rounds=6, seed=2)
         source = tmp_path / "source.jsonl"
         original = run_simulation(config, out_path=source)
-        replay_config = replace(
-            config,
+        replay_config = config._replace(
             agents=tuple(
                 AgentSpec(i, "replay", {"transcript": str(source)}) for i in range(8)
             ),
@@ -295,12 +293,12 @@ class TestRunSimulation:
         # one remote agent on a closed port among 19 imitate mocks
         remote = {"base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": 1, "backoff": 0}
         config = make_mock_config(n=20, rounds=6, seed=7)
-        config = replace(config, agents=(AgentSpec(0, "remote", remote), *config.agents[1:]))
+        config = config._replace(agents=(AgentSpec(0, "remote", remote), *config.agents[1:]))
         source = tmp_path / "source.jsonl"
         original = run_simulation(config, out_path=source)
         assert original.fallback_count() > 0 and original.abort is None
-        replay_config = replace(config, agents=tuple(AgentSpec(i, "replay", {"transcript": str(source)})
-                                                     for i in range(20)))
+        replay_config = config._replace(agents=tuple(AgentSpec(i, "replay", {"transcript": str(source)})
+                                                    for i in range(20)))
         assert run_simulation(replay_config).records == original.records
 
     def test_imitate_agents_converge_on_complete_graph(self):
@@ -490,10 +488,9 @@ class TestRunSimulation:
                 return response
 
         build = engine.build_backends
-        config = replace(
-            make_mock_config(n=n, rounds=rounds, k=2, p=p, seed=seed, lexicon=tuple(lexicon), parallelism=parallelism),
-            narrative_path="bundled:fukushima",
-        )
+        config = make_mock_config(
+            n=n, rounds=rounds, k=2, p=p, seed=seed, lexicon=tuple(lexicon), parallelism=parallelism,
+        )._replace(narrative_path="bundled:fukushima")
         with mock.patch.object(engine, "build_backends", lambda specs: {i: Recording(b) for i, b in build(specs).items()}):
             run_simulation(config)
         assert seen
@@ -505,7 +502,7 @@ class TestRunSimulation:
 
     def test_unmatched_agents_gain_no_history(self):
         # path graph: one agent sits out every round
-        config = replace(make_mock_config(n=3, rounds=4, strategy="constant:#s"), topology=TopologySpec(n=3, k=2, p=0.0))
+        config = make_mock_config(n=3, rounds=4, strategy="constant:#s")._replace(topology=TopologySpec(n=3, k=2, p=0.0))
         network = Network.from_edges(3, [(0, 1), (1, 2)])
         transcript = run_simulation(config, network=network)
         for round_index in range(1, 5):
@@ -558,14 +555,14 @@ class TestWholeRun:
         if remote:
             closed = AgentSpec(0, "remote", {"base_url": "http://127.0.0.1:1/v1", "model": "m",
                                              "max_retries": 1, "backoff": 0})
-            config = replace(config, agents=(closed, *config.agents[1:]))
+            config = config._replace(agents=(closed, *config.agents[1:]))
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp, f"p{parallelism}.jsonl") for parallelism in (1, 4)]
-            written = [run_simulation(replace(config, parallelism=parallelism), out_path=path)
+            written = [run_simulation(config._replace(parallelism=parallelism), out_path=path)
                        for parallelism, path in zip((1, 4), paths)]
             replay = tuple(AgentSpec(i, "replay", {"transcript": str(paths[0])}) for i in range(n))
             replayed_path = Path(tmp, "replayed.jsonl")
-            run_simulation(replace(config, agents=replay), out_path=replayed_path)
+            run_simulation(config._replace(agents=replay), out_path=replayed_path)
             lines = [path.read_bytes().splitlines(keepends=True) for path in (*paths, replayed_path)]
             transcript = read_transcript(paths[0])
 
@@ -762,7 +759,7 @@ class TestRoundLookup:
         # replaying past the recorded rounds ends the file with an abort marker
         replay = tuple(AgentSpec(i, "replay", {"transcript": str(path)}) for i in range(10))
         with pytest.raises(ReplayGapError):
-            run_simulation(replace(config, rounds=6, agents=replay), out_path=tmp_path / "aborted.jsonl")
+            run_simulation(config._replace(rounds=6, agents=replay), out_path=tmp_path / "aborted.jsonl")
         aborted = read_transcript(tmp_path / "aborted.jsonl")
         assert partial.partial and aborted.abort is not None and not full.partial
         return {"full": full, "partial": partial, "aborted": aborted}
@@ -908,7 +905,7 @@ class TestTranscriptIO:
         }
         for name, bad in bad_orders.items():
             path = tmp_path / f"{name.replace(' ', '_')}.jsonl"
-            write_transcript(replace(transcript, records=bad), path)
+            write_transcript(Transcript(transcript.header, bad, transcript.abort, transcript.partial), path)
             with pytest.raises(TranscriptError, match="out of order"):
                 read_transcript(path)
 

@@ -277,6 +277,19 @@ class TestAlignment:
         reply["data"][1]["embedding"].append(3.0)
         assert _embedding_rows(reply) == [[1.0, 3.0], [1.0, 2.0]]
 
+    @pytest.mark.parametrize("indices", [(1, 1), (5, 7), (0, None), (0, 1.0), (0, True)],
+                             ids=["repeated", "out-of-range", "missing", "float", "bool"])
+    def test_embedding_reply_indices_must_be_each_row_once(self, indices):
+        rows = [{"embedding": [float(i)]} if index is None else {"index": index, "embedding": [float(i)]}
+                for i, index in enumerate(indices)]
+        with pytest.raises(ValueError, match="indices"):
+            _embedding_rows({"data": rows})
+
+    def test_shuffled_embedding_reply_comes_back_in_input_order(self):
+        order = [3, 0, 4, 1, 2]
+        reply = {"data": [{"index": index, "embedding": [float(index), 1.0]} for index in order]}
+        assert _embedding_rows(reply) == [[float(index), 1.0] for index in range(5)]
+
     def test_counts_weighted_by_frequency(self):
         narrative = FocalNarrative(
             id="n", title="n", full_text="t",

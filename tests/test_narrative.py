@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import hashnet.data
 from hashnet import ConfigError, NarrativeLoadError, bundled_narrative, load_narrative, save_narrative
 
 # Frozen digests of the bundled study texts; a transcription change is a bug.
@@ -48,6 +51,22 @@ class TestBundledNarratives:
             bundled_narrative("atlantis")
         assert isinstance(err.value, NarrativeLoadError)
         assert (err.value.field, err.value.message) == ("$", "no bundled narrative named 'atlantis'")
+
+    def test_bundled_name_stays_inside_the_package(self, tmp_path):
+        # a valid narrative outside the package, and names that reach the
+        # shipped fukushima.json by a path: only a shipped file's bare name loads
+        save_narrative(bundled_narrative("fukushima"), tmp_path / "outside.json")
+        outside = os.path.relpath(tmp_path / "outside", Path(hashnet.data.__file__).parent)
+        for name in (outside, "./fukushima", "../data/fukushima", ".\\fukushima", "fukushima.json", ""):
+            with pytest.raises(NarrativeLoadError, match="no bundled narrative named"):
+                load_narrative(f"bundled:{name}")
+
+    def test_bundled_file_that_is_not_json_is_a_load_error(self, tmp_path, monkeypatch):
+        (tmp_path / "broken.json").write_text("{not json", encoding="utf-8")
+        monkeypatch.setattr("hashnet.narrative._DATA_DIR", tmp_path)
+        with pytest.raises(NarrativeLoadError, match="invalid JSON in bundled narrative 'broken'") as err:
+            load_narrative("bundled:broken")
+        assert err.value.field == "$"
 
 
 class TestLoadValidation:
