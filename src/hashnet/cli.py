@@ -55,7 +55,7 @@ from .metrics import (
     write_rank_abundance_csv,
     write_series_csv,
 )
-from .narrative import load_narrative
+from .narrative import FocalNarrative, load_narrative
 from .topology import TopologySpec
 
 EXIT_OK = 0
@@ -127,13 +127,17 @@ class MetricsSettings:
 
 
 class LoadedConfig:
-    """A checked config document: the run, its metrics settings and where outputs go."""
+    """A checked config document: the run, its metrics settings, where outputs
+    go, and the focal narrative the parser loaded to check it (None when it
+    did not load, which is a violation)."""
 
-    def __init__(self, run: RunConfig, metrics: MetricsSettings, transcript_out: Path | None, metrics_dir: Path | None):
+    def __init__(self, run: RunConfig, metrics: MetricsSettings, transcript_out: Path | None, metrics_dir: Path | None,
+                 narrative: FocalNarrative | None):
         self.run = run
         self.metrics = metrics
         self.transcript_out = transcript_out
         self.metrics_dir = metrics_dir
+        self.narrative = narrative
 
 
 def _resolve(base_dir: Path, value: str) -> Path:
@@ -249,11 +253,11 @@ def _parse(
             params = dict(params, transcript=str(resolved))
         agents.append(AgentSpec(entry["agent_id"], entry.get("backend"), params))
 
-    narrative_ref = doc.get("narrative", DEFAULT_NARRATIVE)
+    narrative_ref, narrative = doc.get("narrative", DEFAULT_NARRATIVE), None
     if isinstance(narrative_ref, str) and narrative_ref:
         narrative_ref = _narrative_target(narrative_ref, base_dir)
         try:
-            load_narrative(narrative_ref)
+            narrative = load_narrative(narrative_ref)
         except NarrativeLoadError as err:
             violations.append((f"narrative.{err.field}" if err.field != "$" else "narrative", err.message))
 
@@ -292,7 +296,7 @@ def _parse(
     unknown(output_doc, "output.", outputs)
 
     violations += [(err.field, err.message) for err in run.violations() + settings.violations()]
-    loaded = LoadedConfig(run, settings, transcript_out=outputs["transcript"], metrics_dir=outputs["metrics_dir"])
+    loaded = LoadedConfig(run, settings, outputs["transcript"], outputs["metrics_dir"], narrative)
     return loaded, violations
 
 
@@ -407,7 +411,7 @@ def _metric_outputs(
     write_rank_abundance_csv(rac, out_dir / "rank_abundance.csv")
     statuses["rank_abundance"] = "computed"
 
-    narrative = load_narrative(loaded.run.narrative_path)
+    narrative = loaded.narrative
     if not narrative.events:
         statuses["alignment"] = f"skipped: narrative {narrative.id!r} has no events"
     else:

@@ -6,9 +6,11 @@ The fold keeps each agent's history as a ``History`` snapshot of one
 append-only row list, so a round's fold appends one row per paired agent
 in constant time, and a request carries its snapshot without a copy.
 ``read_transcript`` reads a transcript back and checks it in one pass; it
-checks each distinct (raw, normalized) hashtag pair against
-``normalize_hashtag`` once, and every record holding that pair shares one
-``Hashtag``. Records and hashtags are immutable named tuples.
+checks each distinct raw hashtag text against ``normalize_hashtag`` once,
+and every record holding that text shares one ``Hashtag``. A record line
+laid out as ``InteractionRecord.to_json`` writes it is read by matching that
+layout; any other line goes through ``json``. Records and hashtags are
+immutable named tuples.
 
 Rounds are hard barriers. Within a round every backend call may run
 concurrently (up to the configured cap); parsing, scoring, and transcript
@@ -27,7 +29,7 @@ import re
 import time
 from contextlib import ExitStack
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from . import rng as rng_streams
 from .agents import (
@@ -237,9 +239,10 @@ _UNAVAILABLE_KEYS = (
 )
 
 
-def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecord:
+def _record(doc: dict, tags: dict[str, Hashtag]) -> InteractionRecord:
     """``InteractionRecord.from_dict`` that takes each hashtag from ``tags``,
-    the one ``Hashtag`` per (raw, normalized) pair checked so far."""
+    the one ``Hashtag`` per raw text checked so far. Checks run in a fixed
+    order, and the first that fails is the one named."""
     if not isinstance(doc, dict):
         raise TranscriptError(f"record must be a JSON object, got {doc!r}")
     try:
@@ -270,23 +273,72 @@ def _record(doc: dict, tags: dict[tuple[str, str], Hashtag]) -> InteractionRecor
     return record
 
 
-def _hashtag(doc: dict, key: str, tags: dict[tuple[str, str], Hashtag]) -> Hashtag:
-    """The shared ``Hashtag`` of ``doc[key]``; a pair not yet in ``tags`` is
-    checked, then added."""
+def _written_record(written: re.Match | None, tags: dict[str, Hashtag]) -> InteractionRecord | None:
+    """The record of a line that ``_WRITTEN_LINE`` matched, a line as
+    ``InteractionRecord.to_json`` writes it without an ``unavailable_*`` key
+    or an escape in a hashtag's strings, when its points agree with
+    ``match`` and both hashtags pass ``_hashtag``'s check; otherwise None.
+    Such a line passes every check of ``_record``, and each value is its
+    JSON value: a string as it stands, or through ``json``'s own string
+    decoder when it holds an escape, an integer through ``int``, and
+    ``true`` or ``false``."""
+    if written is None:
+        return None
+    (round_index, agent_a, agent_b, raw_a, raw_b, tag_raw_a, normalized_a, tag_raw_b, normalized_b,
+     match, points_a, points_b, fallback_a, fallback_b) = written.groups()
+    tag_a = tags.get(tag_raw_a) or _new_hashtag(tag_raw_a, normalized_a, tags)
+    tag_b = tags.get(tag_raw_b) or _new_hashtag(tag_raw_b, normalized_b, tags)
+    matched = match == "true"
+    if (tag_a is None or tag_b is None or tag_a.normalized != normalized_a or tag_b.normalized != normalized_b
+            or not points_a == points_b == ("1" if matched else "0")):
+        return None
+    points = 1 if matched else 0
+    # A response that is its own hashtag, as a mock's is, keeps no second copy of
+    # the text; ``tuple.__new__`` skips the named tuple's argument handling.
+    return tuple.__new__(InteractionRecord, (
+        int(round_index), int(agent_a), int(agent_b),
+        tag_a.raw if raw_a == tag_raw_a else _scanstring(raw_a + '"', 0)[0] if "\\" in raw_a else raw_a,
+        tag_b.raw if raw_b == tag_raw_b else _scanstring(raw_b + '"', 0)[0] if "\\" in raw_b else raw_b,
+        tag_a, tag_b, matched, points, points, fallback_a == "true", fallback_b == "true", False, False))
+
+
+# A record line as ``_RECORD_JSON`` lays it out without unavailable keys, each
+# value a group: an integer, a string, or true or false. A response's string
+# may hold JSON's escapes, a hashtag's none. Then only the whitespace JSON
+# allows after a value.
+_INT, _BOOL = r"(-?(?:0|[1-9][0-9]*))", "(true|false)"
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_ESCAPED_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+_WRITTEN_LINE = re.escape(_RECORD_JSON).replace("%d", "%s") % (
+    _INT, _INT, _INT, _ESCAPED_STRING, _ESCAPED_STRING, _STRING, _STRING, _STRING, _STRING,
+    _BOOL, _INT, _INT, _BOOL, _BOOL, ""
+) + "[ \t\n\r]*"
+_scanstring = json.decoder.scanstring  # the decoder json.loads uses for a string's text
+
+
+def _hashtag(doc: dict, key: str, tags: dict[str, Hashtag]) -> Hashtag:
+    """The shared ``Hashtag`` of ``doc[key]``. A raw text not yet in ``tags``
+    is checked against ``normalize_hashtag``, then added; a known one needs
+    only the same normalized form."""
     tag = doc[key]
-    try:
-        return tags[tag["raw"], tag["normalized"]]
-    except (KeyError, TypeError):  # a new pair, or a malformed one
-        pass
     if not isinstance(tag, dict):
         raise TranscriptError(f"{key} must be a JSON object, got {tag!r}")
     for name in ("raw", "normalized"):
         if name not in tag:
             raise TranscriptError(f"{key} missing field {name!r}")
     raw, normalized = tag["raw"], tag["normalized"]
-    if not isinstance(raw, str) or normalized != normalize_hashtag(raw):
+    shared = (tags.get(raw) or _new_hashtag(raw, normalized, tags)) if isinstance(raw, str) else None
+    if shared is None or shared.normalized != normalized:
         raise TranscriptError(f"{key} normalized {normalized!r} is not the normalized form of raw {raw!r}")
-    tags[raw, normalized] = shared = Hashtag(raw, normalized)
+    return shared
+
+
+def _new_hashtag(raw: str, normalized, tags: dict[str, Hashtag]) -> Hashtag | None:
+    """The ``Hashtag`` of a raw text not yet in ``tags``, added to them, when
+    ``normalized`` is its normalized form; otherwise None."""
+    if normalized != normalize_hashtag(raw):
+        return None
+    tags[raw] = shared = Hashtag(raw, normalized)
     return shared
 
 
@@ -370,14 +422,16 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 def read_transcript(path: str | Path) -> Transcript:
     """Parse a transcript file and check it in one pass.
 
-    Each record line passes ``InteractionRecord.from_dict``'s checks, and
-    the header must be a JSON object. The reader adds the checks that need
-    the header or earlier records: each pair is an edge of the header's
-    ``network_edges``, ``match`` agrees with the header config's
-    ``match_on`` (normalized by default), rounds run contiguously from 1 and
-    (round, agent_a) strictly increases from record to record. Each
-    distinct (raw, normalized) hashtag pair is checked once; every record
-    holding that pair then shares one ``Hashtag``.
+    The first line that is not blank is the header, which must be a JSON
+    object. Each record line passes ``InteractionRecord.from_dict``'s
+    checks. The reader adds the checks that need the header or earlier
+    records: each pair is an edge of the header's ``network_edges``,
+    ``match`` agrees with the header config's ``match_on`` (normalized by
+    default), rounds run contiguously from 1 and (round, agent_a) strictly
+    increases from record to record. Each distinct raw hashtag text is
+    checked against ``normalize_hashtag`` once; every record holding it
+    then shares one ``Hashtag``, and a later record must give it the same
+    normalized form.
 
     A round's pairs are a maximal matching of the network: no agent is
     paired twice, and no two neighbors are both left unpaired. Two such
@@ -387,78 +441,88 @@ def read_transcript(path: str | Path) -> Transcript:
     marker must be the last line. Lines end in LF or CRLF, and the first bad
     line in file order is the one named, be it invalid JSON or not UTF-8."""
     header: dict | None = None
-    tags: dict[tuple[str, str], Hashtag] = {}
-    adjacency: dict[int, set[int]] = {}
-    match_on = "normalized"
+    tags: dict[str, Hashtag] = {}
     records: list[InteractionRecord] = []
     abort: dict | None = None
     # A record either opens the next round or follows the last agent_a;
     # ``paired`` holds the agents of the current round's records so far.
     last_round, last_agent, paired = 0, float("inf"), set()
-    for i, line in enumerate(_utf8_lines(path)):
-        if line.isspace():
-            continue
+    number = 0
+    # Compiled on the first read rather than at import; ``re`` keeps it for later reads.
+    written_line = re.compile(_WRITTEN_LINE).fullmatch
+    with open(path, "rb") as handle:
+        lines = enumerate(handle, start=1)
         try:
-            if abort is not None:
-                raise TranscriptError("nothing may follow the abort marker")
-            doc = _decode(line)
-            if i == 0:
-                if not isinstance(doc, dict):
-                    raise TranscriptError(f"header must be a JSON object, got {doc!r}")
-                header = doc
-                try:
-                    for a, b in header.get("network_edges", []):
-                        adjacency.setdefault(a, set()).add(b)
-                        adjacency.setdefault(b, set()).add(a)
-                except (TypeError, ValueError) as err:
-                    raise TranscriptError("network_edges must be a list of [a, b] pairs") from err
-                if isinstance(header.get("config"), dict):
-                    match_on = header["config"].get("match_on", match_on)
-                if match_on not in ("normalized", "raw"):
-                    raise TranscriptError(f"match_on must be 'normalized' or 'raw', got {match_on!r}")
-            elif isinstance(doc, dict) and doc.get("abort"):
-                abort = doc
-            else:
-                record = _record(doc, tags)
-                a, b = record.agent_a, record.agent_b
+            for number, data in lines:
+                line = data.decode("utf-8")
+                if not line.isspace():
+                    header = json.loads(line)
+                    adjacency, form = _network(header)
+                    break
+            for number, data in lines:
+                line = data.decode("utf-8")
+                record = _written_record(written_line(line), tags)
+                if record is None:
+                    if line.isspace():
+                        continue
+                    doc = json.loads(line)
+                    if isinstance(doc, dict) and doc.get("abort"):
+                        abort = doc
+                        break
+                    record = _record(doc, tags)
+                round_index, a, b, _, _, tag_a, tag_b, match, _, _, _, _, _, _ = record
                 if b not in adjacency.get(a, ()):
                     raise TranscriptError(f"pair ({a}, {b}) is not an edge of the header's network_edges")
-                if record.match != (getattr(record.hashtag_a, match_on) == getattr(record.hashtag_b, match_on)):
-                    raise TranscriptError(f"match {doc['match']!r} contradicts the {match_on} forms of "
+                if (tag_a[form] == tag_b[form]) != match:
+                    doc = json.loads(line)  # the message quotes the line's own values
+                    raise TranscriptError(f"match {doc['match']!r} contradicts the {Hashtag._fields[form]} forms of "
                                           f"{doc['hashtag_a']!r} and {doc['hashtag_b']!r}")
-                if record.round == last_round + 1:
+                if round_index != last_round or a <= last_agent:
+                    if round_index != last_round + 1:
+                        raise TranscriptError(f"round {round_index!r}, agent_a {a!r} is out of order; rounds run "
+                                              "contiguously from 1 and (round, agent_a) strictly increases")
                     if last_round and (stranded := _stranded(adjacency, paired)):
                         raise TranscriptError(f"round {last_round} is missing records: neighbors "
                                               f"{stranded[0]} and {stranded[1]} are both unpaired")
-                    paired = set()
-                elif record.round != last_round or a <= last_agent:
-                    raise TranscriptError(f"round {record.round!r}, agent_a {a!r} is out of order; rounds run "
-                                          "contiguously from 1 and (round, agent_a) strictly increases")
+                    last_round, paired = round_index, set()
                 if a in paired or b in paired:
-                    raise TranscriptError(
-                        f"agent {a if a in paired else b} is paired twice in round {record.round}")
-                paired.update((a, b))
-                last_round, last_agent = record.round, a
+                    raise TranscriptError(f"agent {a if a in paired else b} is paired twice in round {round_index}")
+                paired.add(a)
+                paired.add(b)
+                last_agent = a
                 records.append(record)
+            for number, data in lines:  # what follows an abort marker
+                if not data.decode("utf-8").isspace():
+                    raise TranscriptError("nothing may follow the abort marker")
+        except UnicodeDecodeError as err:
+            bad = err.object[err.start:err.end]
+            raise TranscriptError(f"{path}: line {number}: not UTF-8 text ({err.reason} {bad!r})") from err
         except json.JSONDecodeError as err:
-            raise TranscriptError(f"{path}: line {i + 1}: invalid JSON ({err})") from err
+            raise TranscriptError(f"{path}: line {number}: invalid JSON ({err})") from err
         except TranscriptError as err:
-            raise TranscriptError(f"{path}: line {i + 1}: {err}") from err
+            raise TranscriptError(f"{path}: line {number}: {err}") from err
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
     return Transcript(header, records, abort, partial=bool(records) and _stranded(adjacency, paired) is not None)
 
 
-def _utf8_lines(path: str | Path) -> Iterator[str]:
-    """The lines of the file at ``path``, each decoded from its own bytes,
-    so a line that is not UTF-8 raises TranscriptError when it is reached."""
-    with open(path, "rb") as handle:
-        for number, data in enumerate(handle, start=1):
-            try:
-                yield data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                bad = data[err.start:err.end]
-                raise TranscriptError(f"{path}: line {number}: not UTF-8 text ({err.reason} {bad!r})") from err
+def _network(header) -> tuple[dict[int, set[int]], int]:
+    """The header's network as neighbor sets, and the index in ``Hashtag``
+    of the form that its config's ``match_on`` compares."""
+    if not isinstance(header, dict):
+        raise TranscriptError(f"header must be a JSON object, got {header!r}")
+    adjacency: dict[int, set[int]] = {}
+    try:
+        for a, b in header.get("network_edges", []):
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+    except (TypeError, ValueError) as err:
+        raise TranscriptError("network_edges must be a list of [a, b] pairs") from err
+    config = header.get("config")
+    match_on = config.get("match_on", "normalized") if isinstance(config, dict) else "normalized"
+    if match_on not in Hashtag._fields:
+        raise TranscriptError(f"match_on must be 'normalized' or 'raw', got {match_on!r}")
+    return adjacency, Hashtag._fields.index(match_on)
 
 
 def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, int] | None:
@@ -469,20 +533,6 @@ def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, in
 
 # One encoder for every line: the same bytes as json.dumps(obj, ensure_ascii=False).
 _encode = json.JSONEncoder(ensure_ascii=False).encode
-_raw_decode = json.JSONDecoder().raw_decode
-
-
-def _decode(line: str):
-    """``json.loads(line)`` through one shared decoder. A line that is not one
-    JSON value from its first character on (leading whitespace, extra data,
-    invalid JSON) goes to ``json.loads`` itself, which reads or rejects it."""
-    try:
-        doc, end = _raw_decode(line)
-        if not line[end:].strip(" \t\n\r"):  # the whitespace JSON allows after a value
-            return doc
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)
 
 
 def _write_line(handle: IO[str], doc: dict | InteractionRecord) -> None:

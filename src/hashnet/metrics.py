@@ -17,6 +17,7 @@ import json
 import math
 import zlib
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
 
@@ -75,12 +76,13 @@ def _responses(
     """Hashtags of one round's records, two per record, in record order."""
     if not records:
         raise MetricError(f"transcript has no records for round {round_index}")
+    index = 0 if form == "raw" else 1  # the form's field of Hashtag
     out: list[str] = []
     for record in records:
-        for tag, fell_back in ((record.hashtag_a, record.fallback_a), (record.hashtag_b, record.fallback_b)):
-            if fell_back and not include_fallbacks:
-                continue
-            out.append(tag.raw if form == "raw" else tag.normalized)
+        if include_fallbacks or not record.fallback_a:
+            out.append(record.hashtag_a[index])
+        if include_fallbacks or not record.fallback_b:
+            out.append(record.hashtag_b[index])
     return out
 
 
@@ -222,7 +224,8 @@ def perplexity(model: UnigramModel, responses: Sequence[str]) -> float:
 def _perplexity(model: UnigramModel, tokens: Sequence[str]) -> float:
     if not tokens:
         raise MetricError("responses contain no usable tokens")
-    log_total = sum(math.log(model.probability(token)) for token in tokens)
+    # ``model.probability`` of each token, without a method call per token.
+    log_total = sum(map(math.log, map(model.probabilities.get, tokens, repeat(model.oov_probability))))
     return math.exp(-log_total / len(tokens))
 
 
@@ -441,7 +444,7 @@ def _round_perplexity(
     responses = _responses(records, round_index, include_fallbacks, "normalized" if hashtag else "raw")
     try:
         if hashtag and responses:
-            return _perplexity(model, [form for form in responses if form])
+            return _perplexity(model, list(filter(None, responses)))
         return perplexity(model, responses)
     except MetricError as err:
         raise MetricError(f"round {round_index}: {err}") from err

@@ -162,6 +162,21 @@ def tally_all(records: list[dict], *, include_fallbacks: bool = True) -> Counter
     return counts
 
 
+def responses(records: list[dict], round_index: int | None = None, *, include_fallbacks: bool = True,
+              form: str = "normalized") -> list[str]:
+    """Independent list of the hashtags of one round's record objects, or of
+    every record when ``round_index`` is None: side a before side b, in
+    record order, each in ``form`` ("raw" or "normalized")."""
+    out: list[str] = []
+    for record in records:
+        if round_index is not None and record["round"] != round_index:
+            continue
+        for side in ("a", "b"):
+            if include_fallbacks or not record[f"fallback_{side}"]:
+                out.append(record[f"hashtag_{side}"][form])
+    return out
+
+
 def csv_line(row) -> str:
     """One row as csv.writer writes it, without its line end. A CRLF line end
     makes csv quote a cell holding a carriage return or a line feed on every

@@ -414,6 +414,21 @@ class TestMetrics:
             golden = (FIXTURES / "golden_metrics" / f"{name}.csv").read_bytes()
             assert produced == golden, f"{name}.csv diverges from golden"
 
+    def test_narrative_is_loaded_once(self, tmp_path, monkeypatch):
+        # the parser's check loads it, and alignment uses that same narrative
+        from hashnet import cli
+
+        calls = []
+        original = cli.load_narrative
+        monkeypatch.setattr(cli, "load_narrative", lambda ref: calls.append(ref) or original(ref))
+        out_dir = tmp_path / "metrics"
+        assert run_cli("metrics", str(FIXTURES / "fixture_transcript.jsonl"),
+                       "--config", str(FIXTURES / "fixture_config.json"), "--out", str(out_dir)) == EXIT_OK
+        assert len(calls) == 1
+        metadata = json.loads((out_dir / "metadata.json").read_text(encoding="utf-8"))
+        assert metadata["statuses"]["alignment"] == "computed"
+        assert (out_dir / "alignment.csv").read_bytes() == (FIXTURES / "golden_metrics" / "alignment.csv").read_bytes()
+
     def test_single_round_series(self, tmp_path):
         doc = small_mock_doc(rounds=1)
         config = write_config(tmp_path, doc)

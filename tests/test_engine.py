@@ -1085,12 +1085,14 @@ class TestTranscriptIO:
         # each record check of the reader also runs in from_dict, with the same message
         doc = make_record(1, 0, 1, "#a", "#b", fb_a=True).to_dict()
         header = {"network_edges": [[0, 1]]}
-        for key, value, message in [("round", "1", "round must be an integer, got '1'"),
-                                    ("points_a", True, "points_a must be an integer, got True"),
-                                    ("fallback_b", "no", "fallback_b must be true or false, got 'no'"),
-                                    ("unavailable_a", "yes", "unavailable_a must be true if present, got 'yes'"),
-                                    ("points_b", 1, "points_b 1 contradicts match False")]:
-            bad = {**doc, key: value}
+        # with two bad fields, the first in field order is the one named
+        for edits, message in [({"round": "1"}, "round must be an integer, got '1'"),
+                               ({"points_a": True}, "points_a must be an integer, got True"),
+                               ({"round": "1", "points_a": True}, "round must be an integer, got '1'"),
+                               ({"fallback_b": "no"}, "fallback_b must be true or false, got 'no'"),
+                               ({"unavailable_a": "yes"}, "unavailable_a must be true if present, got 'yes'"),
+                               ({"points_b": 1}, "points_b 1 contradicts match False")]:
+            bad = {**doc, **edits}
             with pytest.raises(TranscriptError, match=f"^{message}$"):
                 InteractionRecord.from_dict(bad)
             path = tmp_path / "t.jsonl"
@@ -1104,3 +1106,63 @@ class TestTranscriptIO:
         path.write_text("", encoding="utf-8")
         with pytest.raises(TranscriptError):
             read_transcript(path)
+
+    def test_first_line_blank_reads_the_next_as_header(self, tmp_path):
+        source = FIXTURES / "fixture_transcript.jsonl"
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\n" + source.read_bytes())
+        assert read_transcript(path) == read_transcript(source)
+        path.write_text("\n \t\n\r\n", encoding="utf-8")
+        with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: missing header line$"):
+            read_transcript(path)
+
+    @pytest.mark.parametrize("layout", ["written", "compact"])
+    @pytest.mark.parametrize("first,later", [("a", "a"), ("a", "b"), ("b", "a")])
+    def test_known_raw_hashtag_with_another_normalized_form_is_rejected(self, tmp_path, first, later, layout):
+        # line 2 checks '#Storm' and '#sun'; line 3 gives '#Storm' another normalized form, in the
+        # engine's own layout or in compact JSON
+        records = [make_record(1, 0, 1, *(("#Storm", "#sun") if first == "a" else ("#sun", "#Storm"))),
+                   make_record(1, 2, 3, "#sun", "#sun")._replace(match=False, points_a=0, points_b=0,
+                                                                 **{f"hashtag_{later}": Hashtag("#Storm", "sto")})]
+        path = tmp_path / "t.jsonl"
+        write_transcript(Transcript(header={"network_edges": [[0, 1], [2, 3]]}, records=records), path)
+        if layout == "compact":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines),
+                            encoding="utf-8")
+        with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: line 3: hashtag_{later} normalized 'sto' "
+                                                  "is not the normalized form of raw '#Storm'$"):
+            read_transcript(path)
+
+    def test_written_line_points_must_agree_with_match(self, tmp_path):
+        # line 2 checks '#a' and '#b'; line 3, laid out as the engine writes it, matches with points 0/0
+        records = [make_record(1, 0, 1, "#a", "#b"), make_record(1, 2, 3, "#a", "#b")._replace(
+            hashtag_b=Hashtag("#a", "a"), match=True, points_a=0, points_b=0)]
+        path = tmp_path / "t.jsonl"
+        write_transcript(Transcript(header={"network_edges": [[0, 1], [2, 3]]}, records=records), path)
+        message = "line 3: points_a 0 contradicts match True"
+        with pytest.raises(TranscriptError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_transcript(path)
+
+    @given(hostile_transcripts(), st.lists(HOSTILE_RAW, min_size=24, max_size=24))
+    @settings(max_examples=60, deadline=None)
+    def test_response_texts_read_back_as_written(self, transcript, texts):
+        # response texts that are not their hashtags, many with characters JSON escapes
+        records = [record._replace(raw_a=f"<think>{texts[2 * i]}</think>\n{record.raw_a}", raw_b=texts[2 * i + 1])
+                   for i, record in enumerate(transcript.records)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.jsonl")
+            write_transcript(Transcript(transcript.header, records), path)
+            assert read_transcript(path) == Transcript(transcript.header, records)
+
+    @given(hostile_transcripts())
+    @settings(max_examples=60, deadline=None)
+    def test_lines_in_another_json_layout_read_to_the_same_records(self, transcript):
+        # compact separators and ASCII escapes: no record line is laid out as the engine writes it
+        with tempfile.TemporaryDirectory() as tmp:
+            written, relaid = Path(tmp, "written.jsonl"), Path(tmp, "relaid.jsonl")
+            write_transcript(transcript, written)
+            lines = written.read_text(encoding="utf-8").split("\n")[:-1]  # U+2028 is no line end here
+            relaid.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines),
+                              encoding="utf-8")
+            assert read_transcript(relaid) == read_transcript(written)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +29,13 @@ from hashnet import (
     round_distribution,
     run_simulation,
     shannon_entropy,
+    write_transcript,
 )
-from hashnet.metrics import HashingEmbedder, _embedding_rows, round_responses, tokenize
+from hashnet.metrics import HashingEmbedder, _embedding_rows, round_responses, run_responses, tokenize
 from hashnet.narrative import FocalNarrative, NarrativeEvent
 
 from conftest import FIXTURES, make_mock_config
-from oracles import align_bruteforce, entropy_mp, perplexity_mp, read_jsonl, tally_round
+from oracles import align_bruteforce, entropy_mp, perplexity_mp, read_jsonl, responses, tally_round
 from test_engine import hostile_transcripts, make_record
 
 
@@ -532,6 +535,23 @@ def test_metrics_pure_function_of_file(tmp_path):
     assert metric_series(in_memory, "entropy") == metric_series(from_disk, "entropy")
     assert metric_series(in_memory, "dominant_share") == metric_series(from_disk, "dominant_share")
     assert rank_abundance(in_memory) == rank_abundance(from_disk)
+
+
+@given(transcript=hostile_transcripts())
+@settings(max_examples=60, deadline=None)
+def test_responses_equal_the_json_oracle(transcript):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.jsonl")
+        write_transcript(transcript, path)
+        reloaded = read_transcript(path)
+        _, docs = read_jsonl(path)
+    for form in ("raw", "normalized"):
+        for include_fallbacks in (True, False):
+            for round_index in range(1, reloaded.rounds_completed() + 1):
+                assert round_responses(reloaded, round_index, include_fallbacks=include_fallbacks, form=form) == (
+                    responses(docs, round_index, include_fallbacks=include_fallbacks, form=form))
+            assert run_responses(reloaded, include_fallbacks=include_fallbacks, form=form) == (
+                responses(docs, include_fallbacks=include_fallbacks, form=form))
 
 
 def test_round_responses_raw_form(fixture_transcript):
