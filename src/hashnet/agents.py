@@ -30,8 +30,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
 from .errors import (
-    BackendUnavailableError, ConfigError, ReplayGapError, is_integer, is_number, raise_first_violation, reject_unknown,
-    require_text,
+    BackendUnavailableError, ConfigError, ReplayGapError, TranscriptError, is_integer, is_number, raise_first_violation,
+    reject_unknown, require_text,
 )
 from .rng import Stream
 
@@ -81,21 +81,11 @@ class AgentSpec(NamedTuple):
     backend_params: Mapping = MappingProxyType({})
 
     def violations(self) -> list[ConfigError]:
-        """Checks the backend parameters by constructing the backend, whose
-        setting names go under this agent's ``backend_params`` path; a
-        replay agent's transcript is only checked for being a path."""
-        where = f"agents[{self.agent_id}]"
-        if not is_integer(self.agent_id) or self.agent_id < 0:
-            return [ConfigError(f"{where}.agent_id", f"must be a non-negative integer, got {self.agent_id!r}")]
-        if self.backend not in BACKEND_KINDS:
-            return [ConfigError(f"{where}.backend", f"must be one of {BACKEND_KINDS}, got {self.backend!r}")]
+        """The error ``build_backend`` raises for this spec, if any."""
         try:
-            if self.backend == "replay":
-                _replay_source(self.backend_params)
-            else:
-                build_backend(self)
+            build_backend(self)
         except ConfigError as err:
-            return [ConfigError(f"{where}.backend_params.{err.field}", err.message)]
+            return [err]
         return []
 
     validate = raise_first_violation
@@ -373,12 +363,19 @@ class ReplayBackend:
     def from_transcript(cls, path: str | Path) -> "ReplayBackend":
         """Index a transcript file: raw_a/raw_b of every record, by agent and
         round, or None for a side flagged ``unavailable_*``. The file is read,
-        and checked, by ``read_transcript``."""
+        and checked, by ``read_transcript``; a missing file, or one the reader
+        refuses, raises ``ConfigError("transcript")``."""
         from .engine import read_transcript  # engine imports this module
 
+        if not Path(path).is_file():
+            raise ConfigError("transcript", f"replay transcript not found: {path}")
+        try:
+            records = read_transcript(path).records
+        except TranscriptError as err:
+            raise ConfigError("transcript", str(err)) from err
         return cls({
             (agent, record.round): None if unavailable else raw
-            for record in read_transcript(path).records
+            for record in records
             for (agent, raw, _, _), unavailable in zip(record.sides(), (record.unavailable_a, record.unavailable_b))
         })
 
@@ -615,14 +612,6 @@ def _first_choice_text(data: dict) -> str:
     raise ValueError("response carries no choice text")
 
 
-def _replay_source(params: Mapping) -> str:
-    reject_unknown(params, ("transcript",))
-    source = params.get("transcript")
-    if not isinstance(source, str) or not source:
-        raise ConfigError("transcript", "replay backend requires a transcript path")
-    return source
-
-
 def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params: Mapping) -> T:
     """``cls`` called with the ``positional`` params in order (None when
     absent) and the ``keyword`` params that are present, so its own defaults
@@ -633,34 +622,50 @@ def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params
     return cls(*args, **settings)
 
 
-def build_backend(spec: AgentSpec) -> Backend:
+def build_backend(spec: AgentSpec, shared: dict | None = None) -> Backend:
     """Construct the backend an AgentSpec describes. Each constructor checks
-    its own parameters and names a bad one by its setting name alone;
-    ``AgentSpec.violations`` places it under the agent's path."""
-    if spec.backend == "replay":
-        return ReplayBackend.from_transcript(_replay_source(spec.backend_params))
-    if spec.backend == "mock":
-        return from_params(MockBackend, ("strategy",), ("lexicon",), spec.backend_params)
-    if spec.backend == "remote":
+    its own parameters and names a bad one by its setting name alone; this
+    places it under the agent's path, as ``agents[i].backend_params.<name>``.
+    Backends built with one ``shared`` dict share what they can: agents
+    replaying one transcript file share one index of it, read once, and
+    agents with the same connection settings share one HTTP client."""
+    where = f"agents[{spec.agent_id}]"
+    if not is_integer(spec.agent_id) or spec.agent_id < 0:
+        raise ConfigError(f"{where}.agent_id", f"must be a non-negative integer, got {spec.agent_id!r}")
+    if spec.backend not in BACKEND_KINDS:
+        raise ConfigError(f"{where}.backend", f"must be one of {BACKEND_KINDS}, got {spec.backend!r}")
+    shared = {} if shared is None else shared
+    try:
+        if spec.backend == "replay":
+            reject_unknown(spec.backend_params, ("transcript",))
+            source = spec.backend_params.get("transcript")
+            if not isinstance(source, str) or not source:
+                raise ConfigError("transcript", "replay backend requires a transcript path")
+            if source not in shared:
+                shared[source] = ReplayBackend.from_transcript(source)
+            return shared[source]
+        if spec.backend == "mock":
+            return from_params(MockBackend, ("strategy",), ("lexicon",), spec.backend_params)
         keyword = ("api_key_env", "timeout", "max_retries", "backoff")
-        return from_params(RemoteBackend, ("base_url", "model"), keyword, spec.backend_params)
-    raise ConfigError(f"agents[{spec.agent_id}].backend", f"unknown backend {spec.backend!r}")
+        backend = from_params(RemoteBackend, ("base_url", "model"), keyword, spec.backend_params)
+    except ConfigError as err:
+        raise ConfigError(f"{where}.backend_params.{err.field}", err.message) from err
+    backend.client = shared.setdefault(backend.client.settings, backend.client)
+    return backend
 
 
-def build_backends(specs: Sequence[AgentSpec]) -> dict[int, Backend]:
-    """Backends for a whole run, sharing one replay index per transcript
-    file and one HTTP client per set of connection settings."""
-    replay_sources: dict[str, ReplayBackend] = {}
-    clients: dict[tuple, HttpClient] = {}
+def build_backends(specs: Sequence[AgentSpec], problems: list[ConfigError] | None = None) -> dict[int, Backend]:
+    """The backends of a whole run, by agent id, built by ``build_backend``
+    with one ``shared`` dict. The first spec it refuses raises; given a
+    ``problems`` list, every refusal is appended there instead, and that
+    agent is left out."""
+    shared: dict = {}
     backends: dict[int, Backend] = {}
     for spec in specs:
-        if spec.backend == "replay":
-            path = _replay_source(spec.backend_params)
-            if path not in replay_sources:
-                replay_sources[path] = ReplayBackend.from_transcript(path)
-            backends[spec.agent_id] = replay_sources[path]
-            continue
-        backend = backends[spec.agent_id] = build_backend(spec)
-        if isinstance(backend, RemoteBackend):
-            backend.client = clients.setdefault(backend.client.settings, backend.client)
+        try:
+            backends[spec.agent_id] = build_backend(spec, shared)
+        except ConfigError as err:
+            if problems is None:
+                raise
+            problems.append(err)
     return backends

@@ -13,22 +13,23 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .agents import AgentSpec, DecodeParams, from_params
+from .agents import AgentSpec, Backend, DecodeParams, build_backends, from_params
 from .engine import (
     RunConfig,
     Transcript,
+    _play,
     config_digest,
     config_snapshot,
     read_transcript,
-    run_simulation,
 )
 from .errors import (
     ConfigError,
     EmbedderUnavailableError,
     HashnetError,
     NarrativeLoadError,
-    TranscriptError,
     is_integer,
     is_number,
     raise_first_violation,
@@ -37,6 +38,7 @@ from .metrics import (
     DEDUP_POLICIES,
     TOKENIZATION_MODES,
     VALUE_FORMAT,
+    Embedder,
     HashingEmbedder,
     MetricSeries,
     OneHotEmbedder,
@@ -65,7 +67,7 @@ EXIT_IO = 2
 DEFAULT_TOPOLOGY = {"n": 20, "k": 4, "p": 0.1}
 DEFAULT_ROUNDS = 40
 DEFAULT_NARRATIVE = "bundled:fukushima"
-DEFAULT_EMBEDDING = {"provider": "hashing", "dim": 256}
+DEFAULT_EMBEDDING = MappingProxyType({"provider": "hashing", "dim": 256})
 
 _TOP_LEVEL_KEYS = {
     "seed", "rounds", "topology", "agents", "narrative", "decode",
@@ -79,26 +81,15 @@ _EMBEDDING_PROVIDERS = {
 }
 
 
-class MetricsSettings:
+class MetricsSettings(NamedTuple):
     """Resolved metrics section of a config document, whose keys are the
-    ``_fields``; absent ``embedding`` settings are a fresh copy of the
-    default."""
+    ``_fields``; absent ``embedding`` settings are the read-only default."""
 
-    _fields = ("reference_corpus", "tokenization", "entropy_base", "dedup", "embedding")
-
-    def __init__(
-        self,
-        reference_corpus: Path | None = None,
-        tokenization: str = "hashtag",
-        entropy_base: float = 2.0,
-        dedup: str = "per_response",
-        embedding: dict | None = None,
-    ):
-        self.reference_corpus = reference_corpus
-        self.tokenization = tokenization
-        self.entropy_base = entropy_base
-        self.dedup = dedup
-        self.embedding = dict(DEFAULT_EMBEDDING) if embedding is None else embedding
+    reference_corpus: Path | None = None
+    tokenization: str = "hashtag"
+    entropy_base: float = 2.0
+    dedup: str = "per_response"
+    embedding: Mapping = DEFAULT_EMBEDDING
 
     def violations(self) -> list[ConfigError]:
         found = []
@@ -108,10 +99,6 @@ class MetricsSettings:
             found.append(ConfigError("metrics.dedup", f"must be one of {DEDUP_POLICIES}"))
         if not is_number(self.entropy_base) or self.entropy_base <= 1:
             found.append(ConfigError("metrics.entropy_base", f"must be a number > 1, got {self.entropy_base!r}"))
-        try:
-            self.embedder()
-        except ConfigError as err:
-            found.append(ConfigError(f"metrics.embedding.{err.field}", err.message))
         return found
 
     validate = raise_first_violation
@@ -126,29 +113,24 @@ class MetricsSettings:
         return from_params(*_EMBEDDING_PROVIDERS[provider], settings)
 
 
-class LoadedConfig:
+class LoadedConfig(NamedTuple):
     """A checked config document: the run, its metrics settings, where outputs
-    go, and the focal narrative the parser loaded to check it (None when it
-    did not load, which is a violation)."""
+    go, and what the parser built to check it, for the commands to use: the
+    focal narrative, each agent's backend and the embedder (None, or for a
+    backend absent, when it failed its check, which is a violation)."""
 
-    def __init__(self, run: RunConfig, metrics: MetricsSettings, transcript_out: Path | None, metrics_dir: Path | None,
-                 narrative: FocalNarrative | None):
-        self.run = run
-        self.metrics = metrics
-        self.transcript_out = transcript_out
-        self.metrics_dir = metrics_dir
-        self.narrative = narrative
+    run: RunConfig
+    metrics: MetricsSettings
+    transcript_out: Path | None
+    metrics_dir: Path | None
+    narrative: FocalNarrative | None
+    backends: dict[int, Backend]
+    embedder: Embedder | None
 
 
 def _resolve(base_dir: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base_dir / path
-
-
-def _narrative_target(narrative_ref: str, base_dir: Path) -> str:
-    if narrative_ref.startswith("bundled:"):
-        return narrative_ref
-    return str(_resolve(base_dir, narrative_ref))
 
 
 def load_config(path: Path) -> tuple[dict, Path]:
@@ -162,16 +144,9 @@ def load_config(path: Path) -> tuple[dict, Path]:
         raise HashnetError(
             f"config parse error in {path}: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except (ValueError, RecursionError) as err:  # an integer past int's digit limit, or nesting too deep
+        raise HashnetError(f"config parse error in {path}: {err}") from err
     return doc, path.resolve().parent
-
-
-def _transcript_problem(path: Path) -> str | None:
-    """Why ``read_transcript`` refuses the file at ``path``, or None when it reads it."""
-    try:
-        read_transcript(path)
-    except TranscriptError as err:
-        return str(err)
-    return None
 
 
 def _parse(
@@ -184,8 +159,10 @@ def _parse(
     values; this function checks only the document's shape: unknown keys
     (backend ``params`` and ``metrics.embedding`` keys are checked where
     they are read), sections that are not objects, the ``agents``
-    expansion, paths that must exist, whether each replay transcript reads,
-    and whether the narrative loads.
+    expansion, and paths that must exist. What a run or a metric uses is
+    checked by building it, and the config keeps what was built: the
+    narrative, the backends (``build_backends``, which reads each replay
+    transcript once) and the embedder.
     CLI overrides in ``args`` are applied before the checks.
     """
     if not isinstance(doc, dict):
@@ -236,26 +213,19 @@ def _parse(
         )
         entries = []
     agents = []
-    replay_problems: dict[Path, str | None] = {}  # each replay transcript is read once
     for entry in entries:
         params = section(entry, "params", f"agents[{entry['agent_id']}].params")
         source = params.get("transcript") if entry.get("backend") == "replay" else None
         if isinstance(source, str) and source:
-            resolved = _resolve(base_dir, source)
-            field_path = f"agents[{entry['agent_id']}].backend_params.transcript"
-            if not resolved.is_file():
-                violations.append((field_path, f"replay transcript not found: {source}"))
-            else:
-                if resolved not in replay_problems:
-                    replay_problems[resolved] = _transcript_problem(resolved)
-                if replay_problems[resolved]:
-                    violations.append((field_path, replay_problems[resolved]))
-            params = dict(params, transcript=str(resolved))
+            params = dict(params, transcript=str(_resolve(base_dir, source)))
         agents.append(AgentSpec(entry["agent_id"], entry.get("backend"), params))
+    problems: list[ConfigError] = []
+    backends = build_backends(agents, problems)
 
     narrative_ref, narrative = doc.get("narrative", DEFAULT_NARRATIVE), None
     if isinstance(narrative_ref, str) and narrative_ref:
-        narrative_ref = _narrative_target(narrative_ref, base_dir)
+        if not narrative_ref.startswith("bundled:"):
+            narrative_ref = str(_resolve(base_dir, narrative_ref))
         try:
             narrative = load_narrative(narrative_ref)
         except NarrativeLoadError as err:
@@ -285,6 +255,11 @@ def _parse(
     if "embedding" in metrics_fields:
         metrics_fields["embedding"] = dict(section(metrics_fields, "embedding", "metrics.embedding"))
     settings = MetricsSettings(**metrics_fields)
+    embedder = None
+    try:
+        embedder = settings.embedder()
+    except ConfigError as err:
+        violations.append((f"metrics.embedding.{err.field}", err.message))
 
     output_doc = section(doc, "output", "output")
     outputs = {}
@@ -295,8 +270,8 @@ def _parse(
         outputs[key] = _resolve(base_dir, value) if isinstance(value, str) else None
     unknown(output_doc, "output.", outputs)
 
-    violations += [(err.field, err.message) for err in run.violations() + settings.violations()]
-    loaded = LoadedConfig(run, settings, outputs["transcript"], outputs["metrics_dir"], narrative)
+    violations += [(err.field, err.message) for err in problems + run.violations() + settings.violations()]
+    loaded = LoadedConfig(run, settings, outputs["transcript"], outputs["metrics_dir"], narrative, backends, embedder)
     return loaded, violations
 
 
@@ -348,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out_path = Path("transcript.jsonl")
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
-    transcript = run_simulation(loaded.run, out_path=out_path)
+    transcript = _play(loaded.run, loaded.narrative, loaded.backends, out_path=out_path)
     completed = transcript.rounds_completed()
     print(
         f"run {transcript.header['run_id']}: {completed}/{loaded.run.rounds} rounds, "
@@ -417,7 +392,7 @@ def _metric_outputs(
     else:
         hashtags = run_responses(transcript, include_fallbacks=include_fallbacks, form="raw")
         try:
-            alignment = align_hashtags(hashtags, narrative, settings.embedder())
+            alignment = align_hashtags(hashtags, narrative, loaded.embedder)
             write_alignment_csv(alignment, out_dir / "alignment.csv")
             statuses["alignment"] = "computed"
         except EmbedderUnavailableError as err:
@@ -435,7 +410,7 @@ def _metric_outputs(
         "reference_corpus": str(settings.reference_corpus) if settings.reference_corpus else None,
         "reference_corpus_sha256": corpus_digest(settings.reference_corpus) if settings.reference_corpus else None,
         "narrative_id": narrative.id,
-        "embedding": settings.embedding,
+        "embedding": dict(settings.embedding),
         "rank_abundance_entropy": rac.entropy,
         "statuses": statuses,
     }

@@ -2,6 +2,9 @@
 fold over the committed records, shared with ``build_prompt``), dispatch to
 backends, parse and normalize responses, score pairs, and write the
 transcript through the one line writer ``write_transcript`` also uses.
+``_play`` is the one round loop: ``run_simulation`` enters it after
+checking a config and building its narrative and backends, and
+``hashnet simulate`` with those its config parser built to check it.
 The fold keeps each agent's history as a ``History`` snapshot of one
 append-only row list, so a round's fold appends one row per paired agent
 in constant time, and a request carries its snapshot without a copy.
@@ -35,6 +38,7 @@ from . import rng as rng_streams
 from .agents import (
     NO_HISTORY,
     AgentSpec,
+    Backend,
     BackendRequest,
     DecodeParams,
     History,
@@ -497,10 +501,10 @@ def read_transcript(path: str | Path) -> Transcript:
         except UnicodeDecodeError as err:
             bad = err.object[err.start:err.end]
             raise TranscriptError(f"{path}: line {number}: not UTF-8 text ({err.reason} {bad!r})") from err
-        except json.JSONDecodeError as err:
-            raise TranscriptError(f"{path}: line {number}: invalid JSON ({err})") from err
         except TranscriptError as err:
             raise TranscriptError(f"{path}: line {number}: {err}") from err
+        except (ValueError, RecursionError) as err:  # a JSONDecodeError, an integer past int's digit limit, or nesting
+            raise TranscriptError(f"{path}: line {number}: invalid JSON ({err})") from err
     if header is None:
         raise TranscriptError(f"{path}: missing header line")
     return Transcript(header, records, abort, partial=bool(records) and _stranded(adjacency, paired) is not None)
@@ -583,8 +587,6 @@ class RunConfig(NamedTuple):
             ))
         elif all(is_integer(i) for i in ids) and sorted(ids) != list(range(len(ids))):
             found.append(ConfigError("agents", "agent_id values must be exactly 0..n-1"))
-        for spec in self.agents:
-            found += spec.violations()
         found += self.decode.violations()
         if not is_integer(self.parallelism) or self.parallelism < 1:
             found.append(ConfigError("parallelism", f"must be a positive integer, got {self.parallelism!r}"))
@@ -647,6 +649,10 @@ def run_simulation(
 ) -> Transcript:
     """Play the matching game for ``config.rounds`` rounds.
 
+    Before anything is written, the config is checked, its narrative loaded
+    and its backends built, each replay transcript read once; a config that
+    ``hashnet validate`` refuses raises with the field and message it gives.
+
     When ``out_path`` is given the transcript is written incrementally, one
     completed round at a time, so a crash preserves finished rounds. A
     pre-built ``network`` overrides the generated topology (the spec form
@@ -660,9 +666,14 @@ def run_simulation(
     """
     config.validate(graph_n=network.n if network is not None else None)
     narrative = load_narrative(config.narrative_path)
+    return _play(config, narrative, build_backends(config.agents), out_path=out_path, network=network)
+
+
+def _play(config: RunConfig, narrative: FocalNarrative, backends: dict[int, Backend], *,
+          out_path: str | Path | None = None, network: Network | None = None) -> Transcript:
+    """The round loop of ``run_simulation``, on a checked config and the narrative and backends built from it."""
     if network is None:
         network = generate_network(config.resolved_topology())
-    backends = build_backends(config.agents)
 
     snapshot = config_snapshot(config)
     run_id = config.run_id or config_digest(snapshot)[:12]

@@ -101,7 +101,7 @@ def load_narrative(path: str | Path) -> FocalNarrative:
         raise NarrativeLoadError("$", f"narrative file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, an integer past int's digit limit, or nesting
         raise NarrativeLoadError("$", f"invalid JSON in {path}: {err}") from err
     return narrative_from_dict(doc)
 
@@ -121,6 +121,6 @@ def bundled_narrative(name: str) -> FocalNarrative:
         raise NarrativeLoadError("$", f"no bundled narrative named {name!r}")
     try:
         doc = json.loads((_DATA_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, an integer past int's digit limit, or nesting
         raise NarrativeLoadError("$", f"invalid JSON in bundled narrative {name!r}: {err}") from err
     return narrative_from_dict(doc)

@@ -4,6 +4,7 @@ OpenAI-compatible stub server for exercising the remote backends."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -14,6 +15,17 @@ from hashnet import AgentSpec, RunConfig, TopologySpec
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# Marks a test that needs Python's limit on the digits of an integer read from
+# text, which versions before 3.10.7 do not have.
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+# JSON text that ``json`` refuses although it is well formed: arrays nested past
+# the recursion limit, and an integer past the digit limit.
+NESTED_ARRAYS = "[" * 200_000 + "]" * 200_000
+LONG_INTEGER = "9" * 5001
+UNDECODABLE_VALUES = [
+    pytest.param(NESTED_ARRAYS, id="nested-arrays"),
+    pytest.param(LONG_INTEGER, id="long-integer", marks=DIGIT_LIMIT),
+]
 
 
 @pytest.fixture

@@ -1,17 +1,19 @@
 """Command-line surface: validation reports, run summaries, metric and
 report outputs, exit codes."""
 
+import collections
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from hashnet import AgentSpec, read_transcript, run_simulation
+from hashnet import AgentSpec, ConfigError, RunConfig, TopologySpec, read_transcript, run_simulation
 from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main, validate_config
 from hashnet.engine import config_digest
 
-from conftest import FIXTURES, REPO
+from conftest import FIXTURES, REPO, UNDECODABLE_VALUES
 
 
 def run_cli(*argv):
@@ -136,6 +138,24 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("value", UNDECODABLE_VALUES)
+    def test_json_the_decoder_cannot_hold_is_a_parse_error(self, tmp_path, capsys, value):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": ' + value + "}", encoding="utf-8")
+        assert run_cli("validate", "--config", str(path)) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: config parse error in {path}: ")
+
+    @pytest.mark.parametrize("value", UNDECODABLE_VALUES)
+    def test_replay_transcript_the_decoder_cannot_hold_is_a_violation(self, tmp_path, capsys, value):
+        source = tmp_path / "t.jsonl"
+        header = (FIXTURES / "fixture_transcript.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        source.write_text(header + '\n{"round": ' + value + "}\n", encoding="utf-8")
+        doc = small_mock_doc(agents={"backend": "replay", "count": 6, "params": {"transcript": str(source)}})
+        assert run_cli("validate", "--config", str(write_config(tmp_path, doc))) == EXIT_INVALID
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: 6 violation(s)")
+        assert f"  agents[0].backend_params.transcript: {source}: line 2: invalid JSON (" in out
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path / "absent.json")) == EXIT_IO
 
@@ -249,6 +269,93 @@ def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, 
         assert out.startswith("invalid:")
         assert f"  {field_path}: " in out
     assert not (out_dir / "transcript.jsonl").exists()
+
+
+@pytest.mark.parametrize("agents, field_path", [
+    ({"backend": "remote", "params": {"base_url": "http://127.0.0.1:1/v1", "model": "m", "max_retries": "three"}},
+     "agents[0].backend_params.max_retries"),
+    ({"backend": "replay", "params": {"transcript": str(FIXTURES / "replay_missing_hashtag_a.jsonl")}},
+     "agents[0].backend_params.transcript"),
+    ({"backend": "replay", "params": {"transcript": str(FIXTURES / "replay_utf16.jsonl")}},
+     "agents[0].backend_params.transcript"),
+], ids=["remote-max-retries", "replay-record-missing-a-field", "replay-transcript-not-utf8"])
+def test_run_simulation_refuses_an_agent_as_validate_does(tmp_path, agents, field_path):
+    # the library path checks the agents it builds with the same field and message
+    violations = validate_config(small_mock_doc(agents={"count": 6, **agents}), tmp_path)
+    assert violations[0][0] == field_path
+    specs = tuple(AgentSpec(i, agents["backend"], agents["params"]) for i in range(6))
+    config = RunConfig(TopologySpec(n=6, k=2, p=0.0), 3, specs, "bundled:fukushima", seed=5)
+    out_path = tmp_path / "transcript.jsonl"
+    with pytest.raises(ConfigError) as caught:
+        run_simulation(config, out_path=out_path)
+    assert (caught.value.field, caught.value.message) == violations[0]
+    assert not out_path.exists()
+
+
+class TestEachInputBuiltOnce:
+    """Each command reads each input, and builds each backend and the
+    embedder, once: the objects the config parser builds to check a config
+    are the ones the command uses."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the loaders and constructors, and under ``"parsed"`` the
+        counts when the config parser last returned."""
+        from hashnet import agents, cli, engine, metrics
+
+        counts = collections.Counter()
+
+        def count(owner, name, key, by_argument=False):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[(key, str(args[0])) if by_argument else key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for module in (cli, engine):
+            count(module, "load_narrative", "load_narrative")
+            count(module, "read_transcript", "read_transcript", by_argument=True)
+        count(agents.MockBackend, "__init__", "MockBackend")
+        count(metrics.HashingEmbedder, "__init__", "HashingEmbedder")
+        parse = cli._parse
+
+        def parsed(*args):
+            result = parse(*args)
+            counts["parsed"] = collections.Counter(counts)
+            return result
+
+        monkeypatch.setattr(cli, "_parse", parsed)
+        return counts
+
+    def test_simulate_builds_only_in_the_parser(self, demo_config_path, tmp_path, counts):
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(tmp_path)) == EXIT_OK
+        assert (counts["load_narrative"], counts["MockBackend"]) == (1, 20)
+        assert counts.pop("parsed") == counts
+
+    def test_simulate_reads_each_replay_source_once(self, demo_config_path, tmp_path, counts):
+        sources = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(tmp_path)) == EXIT_OK
+        for source in sources:
+            shutil.copy(tmp_path / "transcript.jsonl", source)
+        doc = _replay_doc(demo_config_path, sources[0], 40)
+        doc["agents"] = [{"backend": "replay", "params": {"transcript": str(sources[i % 2])}} for i in range(20)]
+        config = write_config(tmp_path, doc)
+        counts.clear()
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "replay")) == EXIT_OK
+        assert [counts[("read_transcript", str(source))] for source in sources] == [1, 1]
+        assert counts.pop("parsed") == counts
+
+    def test_validate_metrics_and_report_build_each_agent_and_the_embedder_once(self, demo_config_path, tmp_path,
+                                                                                 counts):
+        assert run_cli("simulate", "--config", str(demo_config_path), "--out", str(tmp_path)) == EXIT_OK
+        transcript = str(tmp_path / "transcript.jsonl")
+        for argv in (["validate"], ["metrics", transcript, "--out", str(tmp_path / "metrics")],
+                     ["report", transcript, "--out", str(tmp_path / "report")]):
+            counts.clear()
+            assert run_cli(*argv, "--config", str(demo_config_path)) == EXIT_OK
+            assert (counts["MockBackend"], counts["HashingEmbedder"]) == (20, 1), argv
 
 
 class TestSimulate:

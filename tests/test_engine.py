@@ -40,7 +40,7 @@ from hashnet import rng as rng_streams
 from hashnet.agents import SCORING_PARAGRAPH, History, parse_interaction_table
 from hashnet.engine import config_digest, config_snapshot, extend_histories
 
-from conftest import FIXTURES, REPO, make_mock_config
+from conftest import DIGIT_LIMIT, FIXTURES, LONG_INTEGER, NESTED_ARRAYS, REPO, make_mock_config
 from oracles import prompt_reference
 
 
@@ -949,13 +949,25 @@ class TestTranscriptIO:
         (1, lambda doc: {**doc, "fallback_a": False, "unavailable_a": True},
          "line 2: unavailable_a on a side whose fallback_a is false"),
         (1, lambda doc: json.dumps(doc) + "\x0c", "line 2: invalid JSON"),
+        # arrays nested past the recursion limit, and integers past int's digit limit
+        (0, lambda doc: NESTED_ARRAYS, r"line 1: invalid JSON \(maximum recursion depth"),
+        (1, lambda doc: json.dumps(doc).replace('"round": 1', '"round": ' + NESTED_ARRAYS),
+         r"line 2: invalid JSON \(maximum recursion depth"),
+        pytest.param(0, lambda doc: json.dumps(doc)[:-1] + ', "big": ' + LONG_INTEGER + "}",
+                     r"line 1: invalid JSON \(Exceeds the limit", marks=DIGIT_LIMIT),
+        # laid out as the engine writes it, so the line is matched by its template
+        pytest.param(1, lambda doc: json.dumps(doc).replace('"round": 1', '"round": ' + LONG_INTEGER),
+                     r"line 2: invalid JSON \(Exceeds the limit", marks=DIGIT_LIMIT),
+        pytest.param(1, lambda doc: json.dumps(doc, separators=(",", ":")).replace('"round":1', '"round":' + LONG_INTEGER),
+                     r"line 2: invalid JSON \(Exceeds the limit", marks=DIGIT_LIMIT),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
             "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
             "header-unknown-match_on", "hashtag_a-normalized-zzz", "hashtag_b-normalized-capital",
             "fallback_a-string", "fallback_b-zero", "match-one", "points_a-true", "points_b-float",
             "unavailable_a-string", "unavailable_b-false", "unavailable_a-without-fallback",
-            "form-feed-after-the-value"])
+            "form-feed-after-the-value", "header-nested-arrays", "record-nested-arrays", "header-long-integer",
+            "written-record-long-integer", "compact-record-long-integer"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)

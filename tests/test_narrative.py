@@ -3,12 +3,15 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 import hashnet.data
 from hashnet import ConfigError, NarrativeLoadError, bundled_narrative, load_narrative, save_narrative
+
+from conftest import UNDECODABLE_VALUES
 
 # Frozen digests of the bundled study texts; a transcription change is a bug.
 FUKUSHIMA_SHA256 = "090651b3c1a6727a0bb95d98c3b98e947ac2cd9842d3295d1111daf412c6c3ec"
@@ -127,6 +130,13 @@ class TestLoadValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(NarrativeLoadError):
+            load_narrative(path)
+
+    @pytest.mark.parametrize("value", UNDECODABLE_VALUES)
+    def test_json_the_decoder_cannot_hold(self, tmp_path, value):
+        path = tmp_path / "narrative.json"
+        path.write_text('{"id": ' + value + "}", encoding="utf-8")
+        with pytest.raises(NarrativeLoadError, match=f"^\\$: invalid JSON in {re.escape(str(path))}: "):
             load_narrative(path)
 
     def test_event_order_preserved(self, tmp_path):
