@@ -3,7 +3,9 @@
 Three implementations: a remote OpenAI-compatible chat endpoint, a
 deterministic rule-based mock, and a transcript replayer. Mocks and
 replays are pure functions of (request, rng state); the remote backend
-never mutates the prompt and stores the returned text byte-exact.
+never mutates the prompt and stores the returned text byte-exact, and
+treats a text that is not Unicode text (one holding a lone surrogate) as
+a malformed reply.
 
 The social context an agent sees lives inside its prompt as a small CSV
 block (the interaction table), written by one csv.writer. The helpers here
@@ -13,7 +15,8 @@ its prompt from them only when a backend reads it: the remote backend
 does, once per call; an imitate mock reads the rows, and the other
 backends read neither. Snapshots of one agent share one append-only row
 list, so an imitate mock proves in constant time that a history extends
-the rows it has already tallied, and tallies only the rows past them.
+the rows it has already tallied, tallies only the rows past them, and
+returns one reply object for as long as its answer holds.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Protocol, TypeVar
 
 from .errors import (
-    BackendUnavailableError, ConfigError, ReplayGapError, TranscriptError, is_integer, is_number, raise_first_violation,
-    reject_unknown, require_text,
+    NOT_UNICODE, BackendUnavailableError, ConfigError, ReplayGapError, TranscriptError, is_integer, is_number,
+    raise_first_violation, reject_unknown, require_text, surrogate_at,
 )
 from .rng import Stream
 
@@ -253,23 +256,6 @@ def _tally(
     return best
 
 
-def _imitate(
-    counts: Mapping[str, int],
-    last_seen: Mapping[str, int],
-    lexicon: Sequence[str],
-    rng: Stream,
-) -> str:
-    """The imitation rule over tallied history (see ``mock_imitate``)."""
-    if not lexicon:
-        raise ConfigError("lexicon", "imitate strategy requires a nonempty lexicon")
-    if not counts:
-        return str(lexicon[int(rng.integers(len(lexicon)))])
-    top = max(counts.values())
-    tied = [guess for guess, count in counts.items() if count == top]
-    tied.sort(key=lambda guess: (-last_seen[guess], guess))
-    return tied[0]
-
-
 def mock_imitate(
     history: Sequence[tuple[int, str, str]],
     lexicon: Sequence[str],
@@ -279,10 +265,21 @@ def mock_imitate(
     otherwise produce the neighbor guess seen most often across all prior
     rounds, breaking count ties by most recent occurrence, then
     lexicographically."""
+    if not lexicon:
+        raise ConfigError("lexicon", "imitate strategy requires a nonempty lexicon")
     counts: dict[str, int] = {}
     last_seen: dict[str, int] = {}
     _tally(history, counts, last_seen, None)
-    return _imitate(counts, last_seen, lexicon, rng)
+    if not counts:
+        return str(lexicon[int(rng.integers(len(lexicon)))])
+    top = max(counts.values())
+    tied = [guess for guess, count in counts.items() if count == top]
+    tied.sort(key=lambda guess: (-last_seen[guess], guess))
+    return tied[0]
+
+
+# A memo entry with no rows. Its dicts are never changed: new rows are tallied into copies.
+_UNSEEN = ((), {}, {}, None, None)
 
 
 class MockBackend:
@@ -293,13 +290,14 @@ class MockBackend:
       ``imitate``          copy the most frequent neighbor guess so far
                            (requires ``lexicon`` for the opening round)
 
-    An imitate mock reads its history from the request's rows. It keeps,
-    per agent, the rows it has read, their tallies and the answer they give;
-    when the next history extends those rows, only the new rows are
-    tallied, each updating the answer in constant time. A ``History`` that
-    shares the kept snapshot's row list extends it exactly when it is no
-    shorter, a constant-time check; any other history is compared row by
-    row. The answer is always ``mock_imitate`` over the whole history.
+    A constant mock gives every call one reply. An imitate mock keeps, per
+    agent, the history rows it has read, their tallies, their answer and its
+    reply; a history that extends those rows has only its new rows tallied,
+    each in constant time, and an answer that holds keeps its reply. A
+    ``History`` sharing the kept snapshot's row list extends it exactly when
+    it is no shorter, a constant-time check; any other history is compared
+    row by row. A history that adds no row keeps the entry. The answer is
+    always ``mock_imitate`` over the whole history.
     """
 
     def __init__(self, strategy: str, lexicon: Sequence[str] | None = None):
@@ -307,15 +305,15 @@ class MockBackend:
             isinstance(lexicon, (list, tuple)) and all(isinstance(word, str) for word in lexicon)
         ):
             raise ConfigError("lexicon", "must be a list of strings")
-        self._constant: str | None = None
+        self._constant: BackendResponse | None = None
         self._lexicon: tuple[str, ...] = tuple(lexicon or ())
-        self._memo: dict[int, tuple[Sequence, dict[str, int], dict[str, int], str | None]] = {}
+        self._memo: dict[int, tuple] = {}  # agent id -> (rows tallied, counts, last seen, answer, reply)
         if not isinstance(strategy, str):
             raise ConfigError("strategy", "mock backend requires a strategy string")
         if strategy.startswith("constant:"):
-            self._constant = strategy[len("constant:"):]
-            if not self._constant:
+            if strategy == "constant:":
                 raise ConfigError("strategy", "constant strategy needs text after the colon")
+            self._constant = BackendResponse(strategy[len("constant:"):])
         elif strategy == "imitate":
             if not self._lexicon:
                 raise ConfigError("lexicon", "imitate strategy requires a nonempty lexicon")
@@ -324,32 +322,34 @@ class MockBackend:
 
     def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
         if self._constant is not None:
-            return BackendResponse(self._constant)
-        best = self._tallies(req.agent_id, req.history)[2]
-        return BackendResponse(_imitate({}, {}, self._lexicon, rng) if best is None else best)
+            return self._constant
+        reply = self._entry(req.agent_id, req.history)[4]
+        return BackendResponse(mock_imitate((), self._lexicon, rng)) if reply is None else reply
 
-    def _tallies(
-        self, agent_id: int, history: Sequence[tuple[int, str, str]]
-    ) -> tuple[dict[str, int], dict[str, int], str | None]:
-        """Tallies of ``history`` and its answer (None for no rows), tallying
-        only the rows past what this agent's memo covers, and the memo
-        brought up to date."""
-        seen, counts, last_seen, best = self._memo.get(agent_id, ((), {}, {}, None))
+    def _entry(self, agent_id: int, history: Sequence[tuple[int, str, str]]) -> tuple:
+        """This agent's memo entry brought up to ``history``, tallying only
+        the rows past what the kept entry covers."""
+        entry = self._memo.get(agent_id, _UNSEEN)
+        seen = entry[0]
         if isinstance(history, History) and isinstance(seen, History) and history.rows is seen.rows:
             # The list only grows, so its first seen.length rows are still seen's.
-            stale = seen.length > history.length
+            start = seen.length
+            if start > history.length:
+                entry, start = _UNSEEN, 0
         else:
-            stale = bool(seen) and history[:len(seen)] != seen
-        if stale:
-            seen, counts, last_seen, best = (), {}, {}, None
-        rows = history.rows[len(seen):history.length] if isinstance(history, History) else history[len(seen):]
-        if rows:
-            counts, last_seen = dict(counts), dict(last_seen)
-            best = _tally(rows, counts, last_seen, best)
-            # Entries are never changed once stored, so a concurrent call for
-            # the same agent sees either the old entry or the new one.
-            self._memo[agent_id] = (history, counts, last_seen, best)
-        return counts, last_seen, best
+            start = len(seen)
+            if start and history[:start] != seen:
+                entry, start = _UNSEEN, 0
+        rows = history.rows[start:history.length] if isinstance(history, History) else history[start:]
+        if not rows:
+            return entry
+        counts, last_seen = dict(entry[1]), dict(entry[2])
+        answer = _tally(rows, counts, last_seen, entry[3])
+        reply = entry[4] if answer == entry[3] else BackendResponse(answer)
+        # Entries are never changed once stored, so a concurrent call for
+        # the same agent sees either the old entry or the new one.
+        entry = self._memo[agent_id] = (history, counts, last_seen, answer, reply)
+        return entry
 
 
 class ReplayBackend:
@@ -376,7 +376,8 @@ class ReplayBackend:
         return cls({
             (agent, record.round): None if unavailable else raw
             for record in records
-            for (agent, raw, _, _), unavailable in zip(record.sides(), (record.unavailable_a, record.unavailable_b))
+            for agent, raw, unavailable in ((record.agent_a, record.raw_a, record.unavailable_a),
+                                            (record.agent_b, record.raw_b, record.unavailable_b))
         })
 
     def respond(self, req: BackendRequest, rng: Stream) -> BackendResponse:
@@ -601,15 +602,21 @@ def is_retryable(err: Exception) -> bool:
 
 
 def _first_choice_text(data: dict) -> str:
+    """The first choice's text; ``ValueError`` for a reply without one, or
+    whose text is not Unicode text, which no transcript could hold."""
     choice = data["choices"][0]
     if not isinstance(choice, dict):
         raise ValueError(f"choice is not an object: {choice!r}")
     message = choice.get("message")
     if isinstance(message, dict) and isinstance(message.get("content"), str):
-        return message["content"]
-    if isinstance(choice.get("text"), str):
-        return choice["text"]
-    raise ValueError("response carries no choice text")
+        text = message["content"]
+    elif isinstance(choice.get("text"), str):
+        text = choice["text"]
+    else:
+        raise ValueError("response carries no choice text")
+    if surrogate_at(text) is not None:
+        raise ValueError(f"choice text {NOT_UNICODE}: {text!r}")
+    return text
 
 
 def from_params(cls: Callable[..., T], positional: tuple, keyword: tuple, params: Mapping) -> T:

@@ -26,6 +26,7 @@ from .engine import (
     read_transcript,
 )
 from .errors import (
+    NOT_UNICODE,
     ConfigError,
     EmbedderUnavailableError,
     HashnetError,
@@ -33,6 +34,7 @@ from .errors import (
     is_integer,
     is_number,
     raise_first_violation,
+    surrogate_at,
 )
 from .metrics import (
     DEDUP_POLICIES,
@@ -167,6 +169,10 @@ def _parse(
     """
     if not isinstance(doc, dict):
         return None, [("$", "config document must be a JSON object")]
+    # Such a string could reach a path, a header or a prompt, and none of them can hold it.
+    where = surrogate_at(doc)
+    if where is not None:
+        return None, [(where, NOT_UNICODE)]
     violations: list[tuple[str, str]] = []
 
     def unknown(value: dict, prefix: str, known) -> None:

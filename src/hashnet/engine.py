@@ -7,13 +7,15 @@ checking a config and building its narrative and backends, and
 ``hashnet simulate`` with those its config parser built to check it.
 The fold keeps each agent's history as a ``History`` snapshot of one
 append-only row list, so a round's fold appends one row per paired agent
-in constant time, and a request carries its snapshot without a copy.
-``read_transcript`` reads a transcript back and checks it in one pass; it
-checks each distinct raw hashtag text against ``normalize_hashtag`` once,
-and every record holding that text shares one ``Hashtag``. A record line
-laid out as ``InteractionRecord.to_json`` writes it is read by matching that
-layout; any other line goes through ``json``. Records and hashtags are
-immutable named tuples.
+in constant time, and a request carries its snapshot without a copy. A
+round builds its requests and records positionally and writes its lines
+in one write. ``read_transcript`` reads a transcript back and checks it in
+one pass; it checks each distinct raw hashtag text against
+``normalize_hashtag`` once, and every record holding that text shares one
+``Hashtag``. A record line laid out as ``InteractionRecord.to_json`` writes
+it is read by matching that layout; any other line goes through ``json``.
+A string decoded from an escape is checked for a lone surrogate. Records
+and hashtags are immutable named tuples.
 
 Rounds are hard barriers. Within a round every backend call may run
 concurrently (up to the configured cap); parsing, scoring, and transcript
@@ -48,8 +50,8 @@ from .agents import (
     render_prompt,
 )
 from .errors import (
-    BackendUnavailableError, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
-    raise_first_violation,
+    NOT_UNICODE, BackendUnavailableError, ConfigError, ParseError, ReplayGapError, TranscriptError, is_integer,
+    raise_first_violation, surrogate_at,
 )
 from .narrative import FocalNarrative, load_narrative
 from .topology import Network, TopologySpec, generate_network, pair_round
@@ -188,13 +190,6 @@ class InteractionRecord(NamedTuple):
     unavailable_a: bool = False
     unavailable_b: bool = False
 
-    def sides(self) -> tuple[tuple[int, str, str, str], tuple[int, str, str, str]]:
-        """(agent, raw text, own raw hashtag, neighbor raw hashtag) of side a, then of side b."""
-        return (
-            (self.agent_a, self.raw_a, self.hashtag_a.raw, self.hashtag_b.raw),
-            (self.agent_b, self.raw_b, self.hashtag_b.raw, self.hashtag_a.raw),
-        )
-
     def to_dict(self) -> dict:
         """The record's JSON object, keys in field order; an ``unavailable_*``
         key is written only when it is true."""
@@ -208,15 +203,16 @@ class InteractionRecord(NamedTuple):
 
     def to_json(self) -> str:
         """The record's JSON line, without its line feed: the same text as
-        ``json.dumps(self.to_dict(), ensure_ascii=False)``, built without the dict."""
+        ``json.dumps(self.to_dict(), ensure_ascii=False)``, built as ``_RECORD_JSON`` lays it out, by an f-string."""
         (round_index, agent_a, agent_b, raw_a, raw_b, tag_a, tag_b,
          match, points_a, points_b, fallback_a, fallback_b, unavailable_a, unavailable_b) = self
-        return _RECORD_JSON % (
-            round_index, agent_a, agent_b, _quote(raw_a), _quote(raw_b),
-            _quote(tag_a.raw), _quote(tag_a.normalized), _quote(tag_b.raw), _quote(tag_b.normalized),
-            _JSON_BOOL[match], points_a, points_b, _JSON_BOOL[fallback_a], _JSON_BOOL[fallback_b],
-            _UNAVAILABLE_KEYS[unavailable_a][unavailable_b],
-        )
+        return (f'{{"round": {round_index}, "agent_a": {agent_a}, "agent_b": {agent_b}, '
+                f'"raw_a": {_quote(raw_a)}, "raw_b": {_quote(raw_b)}, '
+                f'"hashtag_a": {{"raw": {_quote(tag_a.raw)}, "normalized": {_quote(tag_a.normalized)}}}, '
+                f'"hashtag_b": {{"raw": {_quote(tag_b.raw)}, "normalized": {_quote(tag_b.normalized)}}}, '
+                f'"match": {_JSON_BOOL[match]}, "points_a": {points_a}, "points_b": {points_b}, '
+                f'"fallback_a": {_JSON_BOOL[fallback_a]}, "fallback_b": {_JSON_BOOL[fallback_b]}'
+                f'{_UNAVAILABLE_KEYS[unavailable_a][unavailable_b]}}}')
 
     @classmethod
     def from_dict(cls, doc: dict) -> "InteractionRecord":
@@ -301,8 +297,8 @@ def _written_record(written: re.Match | None, tags: dict[str, Hashtag]) -> Inter
     # the text; ``tuple.__new__`` skips the named tuple's argument handling.
     return tuple.__new__(InteractionRecord, (
         int(round_index), int(agent_a), int(agent_b),
-        tag_a.raw if raw_a == tag_raw_a else _scanstring(raw_a + '"', 0)[0] if "\\" in raw_a else raw_a,
-        tag_b.raw if raw_b == tag_raw_b else _scanstring(raw_b + '"', 0)[0] if "\\" in raw_b else raw_b,
+        tag_a.raw if raw_a == tag_raw_a else _unescaped(raw_a, "raw_a") if "\\" in raw_a else raw_a,
+        tag_b.raw if raw_b == tag_raw_b else _unescaped(raw_b, "raw_b") if "\\" in raw_b else raw_b,
         tag_a, tag_b, matched, points, points, fallback_a == "true", fallback_b == "true", False, False))
 
 
@@ -318,6 +314,15 @@ _WRITTEN_LINE = re.escape(_RECORD_JSON).replace("%d", "%s") % (
     _BOOL, _INT, _INT, _BOOL, _BOOL, ""
 ) + "[ \t\n\r]*"
 _scanstring = json.decoder.scanstring  # the decoder json.loads uses for a string's text
+
+
+def _unescaped(body: str, key: str) -> str:
+    """The text of the JSON string ``key`` whose body ``body`` holds an
+    escape, decoded as ``json`` decodes it; TranscriptError when it decodes
+    to a lone surrogate."""
+    text = _scanstring(body + '"', 0)[0]
+    _refuse_surrogates(text, key)
+    return text
 
 
 def _hashtag(doc: dict, key: str, tags: dict[str, Hashtag]) -> Hashtag:
@@ -410,17 +415,19 @@ def extend_histories(histories: dict[int, History], records: Iterable[Interactio
     ``histories``; the fold of the records before round r is every history at
     the start of r. Each extension appends to the agent's row list in O(1),
     and the snapshots it replaces stay as they were."""
-    for record in records:
-        for agent, _, own, other in record.sides():
-            histories[agent] = histories.get(agent, NO_HISTORY).extended((record.round, own, other))
+    for round_index, a, b, _, _, tag_a, tag_b, _, _, _, _, _, _, _ in records:
+        histories[a] = histories.get(a, NO_HISTORY).extended((round_index, tag_a.raw, tag_b.raw))
+        histories[b] = histories.get(b, NO_HISTORY).extended((round_index, tag_b.raw, tag_a.raw))
     return histories
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
-    """Write a complete transcript as JSON Lines (header first, UTF-8)."""
-    abort = [] if transcript.abort is None else [transcript.abort]
+    """Write a complete transcript as JSON Lines (header first, UTF-8), a
+    thousand lines to a write, so no more than that is held as text."""
+    docs = [transcript.header, *transcript.records, *([] if transcript.abort is None else [transcript.abort])]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        _write_lines(handle, [transcript.header, *transcript.records, *abort])
+        for start in range(0, len(docs), 1000):
+            _write_line(handle, docs[start:start + 1000])
 
 
 def read_transcript(path: str | Path) -> Transcript:
@@ -461,6 +468,8 @@ def read_transcript(path: str | Path) -> Transcript:
                 line = data.decode("utf-8")
                 if not line.isspace():
                     header = json.loads(line)
+                    if "\\u" in line:
+                        _refuse_surrogates(header)
                     adjacency, form = _network(header)
                     break
             for number, data in lines:
@@ -470,6 +479,8 @@ def read_transcript(path: str | Path) -> Transcript:
                     if line.isspace():
                         continue
                     doc = json.loads(line)
+                    if "\\u" in line:
+                        _refuse_surrogates(doc)
                     if isinstance(doc, dict) and doc.get("abort"):
                         abort = doc
                         break
@@ -510,6 +521,15 @@ def read_transcript(path: str | Path) -> Transcript:
     return Transcript(header, records, abort, partial=bool(records) and _stranded(adjacency, paired) is not None)
 
 
+def _refuse_surrogates(doc, path: str = "") -> None:
+    """TranscriptError when a line's JSON value, or its value at ``path``,
+    holds a lone surrogate. UTF-8 text cannot, so only a value decoded from a
+    ``\\u`` escape is checked."""
+    where = surrogate_at(doc, path)
+    if where is not None:
+        raise TranscriptError(f"{where or 'the line'} {NOT_UNICODE}")
+
+
 def _network(header) -> tuple[dict[int, set[int]], int]:
     """The header's network as neighbor sets, and the index in ``Hashtag``
     of the form that its config's ``match_on`` compares."""
@@ -539,17 +559,12 @@ def _stranded(adjacency: dict[int, set[int]], paired: set[int]) -> tuple[int, in
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _write_line(handle: IO[str], doc: dict | InteractionRecord) -> None:
-    """Write one line: a record as ``InteractionRecord.to_json``, any other document through ``_encode``."""
-    handle.write(doc.to_json() if isinstance(doc, InteractionRecord) else _encode(doc))
-    handle.write("\n")
-
-
-def _write_lines(handle: IO[str] | None, docs: Iterable[dict | InteractionRecord]) -> None:
-    """Write each document as a line, then flush so a crash keeps whole batches; no-op without a handle."""
+def _write_line(handle: IO[str] | None, docs: Iterable[dict | InteractionRecord]) -> None:
+    """Write each document as a line, a record as ``InteractionRecord.to_json`` and any other document
+    through ``_encode``, in one write, then flush so a crash keeps whole batches; no-op without a handle."""
     if handle is not None:
-        for doc in docs:
-            _write_line(handle, doc)
+        handle.write("".join([f"{doc.to_json() if isinstance(doc, InteractionRecord) else _encode(doc)}\n"
+                              for doc in docs]))
         handle.flush()
 
 
@@ -692,6 +707,9 @@ def _play(config: RunConfig, narrative: FocalNarrative, backends: dict[int, Back
     # the fold extends them only after the round's calls have all returned,
     # so pool threads read row lists that do not change under them.
     histories: dict[int, History] = {i: NO_HISTORY for i in range(network.n)}
+    event_text, decode, seed = narrative.full_text, config.decode, config.seed
+    form = Hashtag._fields.index(config.match_on)
+    new = tuple.__new__  # builds requests and records without the named tuples' argument handling
 
     with ExitStack() as stack:
         handle = None if out_path is None else stack.enter_context(open(out_path, "w", encoding="utf-8", newline="\n"))
@@ -706,41 +724,42 @@ def _play(config: RunConfig, narrative: FocalNarrative, backends: dict[int, Back
 
         def stop(round_index: int, reason: str) -> None:
             transcript.abort = {"abort": True, "round": round_index, "reason": reason}
-            _write_lines(handle, [transcript.abort])
+            _write_line(handle, [transcript.abort])
 
-        _write_lines(handle, [header])
+        _write_line(handle, [header])
         for round_index in range(1, config.rounds + 1):
             pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
             participants = [agent for pair in pairing.pairs for agent in pair]
 
             def invoke(agent: int) -> str | None:
-                # Positional arguments, here and in the record below, make the cheaper call.
-                request = BackendRequest(round_index, agent, narrative.full_text, config.decode, histories[agent])
-                stream = rng_streams.agent_stream(config.seed, round_index, agent)
+                request = new(BackendRequest, (round_index, agent, event_text, decode, histories[agent]))
+                stream = rng_streams.agent_stream(seed, round_index, agent)
                 try:
                     return backends[agent].respond(request, stream).raw_text
                 except BackendUnavailableError:
                     return None
 
             try:
-                texts = dict(zip(participants, (pool.map if pool is not None else map)(invoke, participants)))
+                # The texts of each pair's two agents, in turn.
+                texts = iter([invoke(agent) for agent in participants] if pool is None
+                             else list(pool.map(invoke, participants)))
             except ReplayGapError as err:
                 stop(round_index, str(err))
                 raise
 
             round_records: list[InteractionRecord] = []
-            for a, b in pairing.pairs:
-                raw_a, tag_a, fb_a = _finalize(texts[a], histories[a])
-                raw_b, tag_b, fb_b = _finalize(texts[b], histories[b])
-                match = getattr(tag_a, config.match_on) == getattr(tag_b, config.match_on)
+            for (a, b), text_a, text_b in zip(pairing.pairs, texts, texts):
+                raw_a, tag_a, fb_a = _finalize(text_a, histories[a])
+                raw_b, tag_b, fb_b = _finalize(text_b, histories[b])
+                match = tag_a[form] == tag_b[form]
                 points = 1 if match else 0
-                round_records.append(InteractionRecord(
+                round_records.append(new(InteractionRecord, (
                     round_index, a, b, raw_a, raw_b, tag_a, tag_b, match, points, points, fb_a, fb_b,
-                    texts[a] is None, texts[b] is None,  # unavailable_a, unavailable_b
-                ))
+                    text_a is None, text_b is None,  # unavailable_a, unavailable_b
+                )))
             extend_histories(histories, round_records)
             transcript.records += round_records
-            _write_lines(handle, round_records)
+            _write_line(handle, round_records)
 
             unavailable_pairs = sum(record.unavailable_a or record.unavailable_b for record in round_records)
             if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):

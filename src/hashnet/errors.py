@@ -55,6 +55,35 @@ def require_text(name: str, value) -> None:
         raise ConfigError(name, f"must be a nonempty string, got {value!r}")
 
 
+NOT_UNICODE = "holds a lone surrogate (a code point in U+D800..U+DFFF), which is not Unicode text"
+
+
+def surrogate_at(value, path: str = "") -> str | None:
+    """Where a decoded JSON value holds a lone surrogate: the path, from
+    ``path`` on, of the first key or string that holds one (``a.b[2]``; a
+    key that holds one is named by its ``repr``), or None. JSON can escape
+    one (``"\\ud800"``, RFC 8259 §8.2), but UTF-8 cannot encode it, and
+    I-JSON forbids it (RFC 7493 §2.1)."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return path
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if isinstance(key, int):
+                where = f"{path}[{key}]"
+            else:
+                name = key if surrogate_at(key) is None else repr(key)
+                where = f"{path}.{name}" if path else name
+                if name is not key:
+                    return where
+            found = surrogate_at(item, where)
+            if found is not None:
+                return found
+    return None
+
+
 class NarrativeLoadError(ConfigError):
     """Narrative document missing, malformed, or violating an invariant."""
 

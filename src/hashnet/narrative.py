@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import NarrativeLoadError
+from .errors import NOT_UNICODE, NarrativeLoadError, surrogate_at
 
 _BUNDLED_PREFIX = "bundled:"
 # The bundled narratives' directory. Read as files, not through
@@ -55,6 +55,9 @@ def narrative_from_dict(doc: dict) -> FocalNarrative:
     the offending field path."""
     if not isinstance(doc, dict):
         raise NarrativeLoadError("$", "narrative document must be a JSON object")
+    where = surrogate_at(doc)
+    if where is not None:
+        raise NarrativeLoadError(where, NOT_UNICODE)
     for key in ("id", "title", "full_text", "events"):
         if key not in doc:
             raise NarrativeLoadError(key, "missing required field")

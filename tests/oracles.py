@@ -3,13 +3,15 @@
 Nothing here imports hashnet: entropy and perplexity are recomputed with
 arbitrary-precision arithmetic, clustering by literal triangle counting,
 matchings by exhaustive verification, alignment by brute-force cosine
-loops, transcript tallies straight off the JSONL with stdlib json, and
-prompts from the paper's template with stdlib csv.
+loops, transcript tallies straight off the JSONL with stdlib json, prompts
+from the paper's template with stdlib csv, and a whole mock run by a naive
+loop, which takes the few package functions it borrows as an argument.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -210,3 +212,96 @@ def prompt_reference(round_index: int, rows, event_text: str) -> str:
             "Based on this information and the event provided in round 1:",
         ]
     return "\n\n".join([scoring, *situation, event_text, closing])
+
+
+def mock_run_bytes(hashnet, config, narrative_id: str) -> bytes:
+    """The transcript file ``run_simulation`` writes for a ``config`` whose
+    agents are all mocks, played out by a naive loop from the README's rules.
+
+    It borrows from ``hashnet`` only ``generate_network``, ``parse_response``
+    (with ``ParseError``) and ``rng.agent_rng`` for the opening draws. Each
+    round pairs agents by a plain greedy matching driven by a numpy
+    ``Generator`` on the round's spawn key (1, round); every paired agent
+    answers from the history of the rounds before, a plain list of (round,
+    own hashtag, neighbor hashtag), and a text that fails to parse falls back
+    to the agent's last own hashtag, or ``#noresponse``. Each line is
+    ``json.dumps(doc, ensure_ascii=False)``."""
+    import numpy as np
+
+    topology = config.topology
+    topology_seed = topology.seed
+    if topology_seed is None:
+        topology_seed = int(np.random.SeedSequence(config.seed, spawn_key=(0,)).generate_state(1, np.uint64)[0])
+    network = hashnet.generate_network(topology._replace(seed=topology_seed))
+    neighbors: dict[int, list[int]] = {agent: [] for agent in range(topology.n)}
+    for a, b in sorted(network.edges):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    snapshot = {
+        "topology": {"n": topology.n, "k": topology.k, "p": topology.p, "seed": topology_seed},
+        "rounds": config.rounds,
+        "agents": [{"agent_id": spec.agent_id, "backend": spec.backend, "backend_params": dict(spec.backend_params)}
+                   for spec in config.agents],
+        "narrative": config.narrative_path,
+        "decode": {"temperature": config.decode.temperature, "max_tokens": config.decode.max_tokens},
+        "seed": config.seed,
+        "match_on": config.match_on,
+    }
+    canonical = json.dumps(snapshot, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    docs: list[dict] = [{
+        "run_id": config.run_id or hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12],
+        "config": snapshot,
+        "seed": config.seed,
+        "narrative_id": narrative_id,
+        "network_edges": [[a, b] for a, b in sorted(network.edges)],
+        "timestamp": "1970-01-01T00:00:00Z",
+    }]
+    params = {spec.agent_id: spec.backend_params for spec in config.agents}
+    histories: dict[int, list[tuple[int, str, str]]] = {agent: [] for agent in range(topology.n)}
+
+    def answer(agent: int, round_index: int) -> str:
+        strategy, rows = params[agent]["strategy"], histories[agent]
+        if strategy.startswith("constant:"):
+            return strategy[len("constant:"):]
+        lexicon = params[agent]["lexicon"]
+        if not rows:
+            return lexicon[int(hashnet.rng.agent_rng(config.seed, round_index, agent).integers(len(lexicon)))]
+        # the neighbor guess seen most often; ties go to the one seen in the latest round, then the smallest
+        counts = Counter(neighbor for _, _, neighbor in rows)
+        latest = {neighbor: round_seen for round_seen, _, neighbor in sorted(rows)}
+        return min(counts, key=lambda guess: (-counts[guess], -latest[guess], guess))
+
+    def side(agent: int, text: str) -> tuple[dict, bool]:
+        try:
+            tag = hashnet.parse_response(text)
+            return {"raw": tag.raw, "normalized": tag.normalized}, False
+        except hashnet.ParseError:
+            substitute = histories[agent][-1][1] if histories[agent] else "#noresponse"
+            return {"raw": substitute, "normalized": normalize_reference(substitute)}, True
+
+    for round_index in range(1, config.rounds + 1):
+        draws = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, round_index)))
+        matched: set[int] = set()
+        pairs = []
+        for a in draws.permutation(topology.n).tolist():
+            candidates = [] if a in matched else [b for b in neighbors[a] if b not in matched]
+            if candidates:
+                b = candidates[int(draws.integers(len(candidates)))]
+                matched.update((a, b))
+                pairs.append((min(a, b), max(a, b)))
+        records = []
+        for a, b in sorted(pairs):
+            text_a, text_b = answer(a, round_index), answer(b, round_index)
+            (tag_a, fallback_a), (tag_b, fallback_b) = side(a, text_a), side(b, text_b)
+            match = tag_a[config.match_on] == tag_b[config.match_on]
+            records.append({
+                "round": round_index, "agent_a": a, "agent_b": b, "raw_a": text_a, "raw_b": text_b,
+                "hashtag_a": tag_a, "hashtag_b": tag_b, "match": match, "points_a": int(match), "points_b": int(match),
+                "fallback_a": fallback_a, "fallback_b": fallback_b,
+            })
+        for record in records:
+            own_a, own_b = record["hashtag_a"]["raw"], record["hashtag_b"]["raw"]
+            histories[record["agent_a"]].append((round_index, own_a, own_b))
+            histories[record["agent_b"]].append((round_index, own_b, own_a))
+        docs += records
+    return "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs).encode("utf-8")

@@ -194,7 +194,7 @@ def fresh_read(history, seed):
 def memo_read(backend, agent, history, seed):
     """The same through a mock's memo: its tallies, then its answer. The
     answer the memo keeps beside its tallies must be the one it gives."""
-    counts, last_seen, kept = backend._tallies(agent, history)
+    counts, last_seen, kept = backend._entry(agent, history)[1:4]
     answer = backend.respond(request(2, agent, history), rng(seed)).raw_text
     assert kept == (answer if history else None)
     return counts, last_seen, answer
@@ -317,7 +317,7 @@ class TestMockMemo:
             draw = random.Random(worker)
             for k in draw.choices(range(41), k=1500):
                 history = draw.choice((rows[:k], snapshots[k]))
-                counts, last_seen, kept = backend._tallies(0, history)
+                counts, last_seen, kept = backend._entry(0, history)[1:4]
                 answer = backend.respond(request(2, 0, history), rng(0)).raw_text
                 if (counts, last_seen, answer) != expected[k] or kept != (answer if k else None):
                     wrong.append(k)
@@ -384,6 +384,17 @@ class TestReplayBackend:
         backend = ReplayBackend.from_transcript(path)
         assert backend.respond(request(agent_id=3, round_index=7), rng()).raw_text == "#Setsuden"
         assert backend.respond(request(agent_id=5, round_index=7), rng()).raw_text == "#Other"
+
+    def test_transcript_holding_a_lone_surrogate_is_refused(self, tmp_path):
+        # a raw text JSON escapes as "\ud800" reads as no text, so it cannot be replayed and written again
+        path = tmp_path / "t.jsonl"
+        self._write_transcript(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = lines[-1].replace('"raw_a": "#Setsuden"', '"raw_a": "#Setsuden\\ud800"')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"line {len(lines)}: raw_a holds a lone surrogate") as caught:
+            ReplayBackend.from_transcript(path)
+        assert caught.value.field == "transcript"
 
     def test_unavailable_side_raises(self):
         backend = ReplayBackend({(0, 1): "#a", (1, 1): None})

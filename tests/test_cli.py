@@ -250,13 +250,19 @@ def _remote_doc(**params):
     (small_mock_doc(metrics={"entropy_base": 10**400}), [], "metrics.entropy_base"),
     (small_mock_doc(topology={"n": 6, "k": 2, "p": 10**400}), [], "topology.p"),
     (small_mock_doc(decode={"temperature": 10**400}), [], "decode.temperature"),
+    # a string holding a lone surrogate, which JSON escapes as \ud800 but no file, header or prompt can hold
+    (small_mock_doc(agents={"backend": "mock", "params": {"strategy": "imitate", "lexicon": ["#a", "#ok\ud800"]}}),
+     [], "agents.params.lexicon[1]"),
+    (small_mock_doc(metrics={"reference_corpus": "corpus\udc00.txt"}), [], "metrics.reference_corpus"),
+    (small_mock_doc(run_id="run\ud800"), [], "run_id"),
 ], ids=["duplicate-agent-ids", "max-retries-not-integer", "parallelism-override-zero",
         "replay-record-missing-a-field", "replay-transcript-not-utf8", "entropy-base-infinite", "entropy-base-nan",
         "temperature-nan", "remote-timeout-infinite", "remote-backoff-infinite", "run-id-not-a-string",
         "agent-count-zero", "agents-missing", "section-not-an-object", "replay-transcript-not-found",
         "replay-without-transcript", "narrative-not-found", "reference-corpus-not-a-string",
         "output-not-a-string", "match-on-unknown", "narrative-not-a-string", "entropy-base-huge-integer",
-        "topology-p-huge-integer", "temperature-huge-integer"])
+        "topology-p-huge-integer", "temperature-huge-integer", "lexicon-surrogate", "corpus-path-surrogate",
+        "run-id-surrogate"])
 def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, simulate_args, field_path):
     path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
@@ -269,6 +275,17 @@ def test_validate_and_simulate_reject_the_same_documents(tmp_path, capsys, doc, 
         assert out.startswith("invalid:")
         assert f"  {field_path}: " in out
     assert not (out_dir / "transcript.jsonl").exists()
+
+
+def test_narrative_holding_a_lone_surrogate_is_a_violation(tmp_path, capsys):
+    narrative = json.loads((FIXTURES / "synthetic_narrative.json").read_text(encoding="utf-8"))
+    narrative["events"][0]["description"] += "\ud800"
+    (tmp_path / "narrative.json").write_text(json.dumps(narrative), encoding="utf-8")
+    path = write_config(tmp_path, small_mock_doc(narrative="narrative.json"))
+    for argv in (["validate"], ["simulate", "--out", str(tmp_path / "out")]):
+        assert run_cli(*argv, "--config", str(path)) == EXIT_INVALID
+        assert "  narrative.events[0].description: holds a lone surrogate" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("agents, field_path", [

@@ -35,13 +35,14 @@ from hashnet import (
     run_simulation,
     write_transcript,
 )
+import hashnet
 from hashnet import agents, engine
 from hashnet import rng as rng_streams
 from hashnet.agents import SCORING_PARAGRAPH, History, parse_interaction_table
 from hashnet.engine import config_digest, config_snapshot, extend_histories
 
 from conftest import DIGIT_LIMIT, FIXTURES, LONG_INTEGER, NESTED_ARRAYS, REPO, make_mock_config
-from oracles import prompt_reference
+from oracles import mock_run_bytes, prompt_reference
 
 
 def make_record(round_index, a, b, raw_a, raw_b, fb_a=False, fb_b=False):
@@ -458,7 +459,7 @@ class TestRunSimulation:
                 if agent in (record.agent_a, record.agent_b):
                     prompt = prompt_reference(record.round, rows, event_text)
                     assert sent.pop(0) == [{"role": "user", "content": prompt}]
-                    own, other = record.sides()[0 if agent == record.agent_a else 1][2:]
+                    own, other = (record.hashtag_a.raw, record.hashtag_b.raw)[::1 if agent == record.agent_a else -1]
                     rows.append((record.round, own, other))
             assert sent == []
 
@@ -584,6 +585,40 @@ class TestWholeRun:
         assert rank_abundance(transcript) == rank_abundance(memory)
 
 
+# Mock words: quotes, backslashes, commas, line ends, non-ASCII letters and
+# U+2028 around hashtags, and words that fail to parse ("", "!!", "##").
+_MOCK_WORD = st.one_of(
+    st.text(st.sampled_from('#aB,"\\\r\n é福ß\u2028'), max_size=6),
+    st.sampled_from(["#Setsuden", "#a", "!!", "##", "", " ", "#\u2028b", '#x"y', "#a\\b", "#a,\r\nb"]),
+)
+
+
+class TestMockLoopOracle:
+    @given(
+        st.lists(_MOCK_WORD, min_size=1, max_size=4),
+        st.lists(st.none() | _MOCK_WORD.filter(bool), min_size=12, max_size=12),
+        st.integers(3, 12),
+        st.sampled_from([2, 4, 6]),
+        st.sampled_from([0.0, 0.2, 1.0]),
+        st.integers(1, 7),
+        st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_writes_the_naive_loops_bytes(self, lexicon, constants, n, k, p, rounds, seed):
+        # imitate agents (None) beside constant ones: the file is the oracle's bytes at parallelism 1 and 4
+        assume(k < n)
+        agents = tuple(AgentSpec(i, "mock", {"strategy": "imitate", "lexicon": lexicon} if text is None
+                                 else {"strategy": f"constant:{text}"}) for i, text in enumerate(constants[:n]))
+        narrative = FIXTURES / "synthetic_narrative.json"
+        config = RunConfig(TopologySpec(n=n, k=k, p=p), rounds, agents, str(narrative), seed=seed)
+        expected = mock_run_bytes(hashnet, config, json.loads(narrative.read_text(encoding="utf-8"))["id"])
+        with tempfile.TemporaryDirectory() as tmp:
+            for parallelism in (1, 4):
+                path = Path(tmp, f"p{parallelism}.jsonl")
+                run_simulation(config._replace(parallelism=parallelism), out_path=path)
+                assert path.read_bytes() == expected
+
+
 class TestAgentRng:
     @staticmethod
     def count_builds(monkeypatch) -> list[tuple[int, int, int]]:
@@ -682,6 +717,19 @@ class TestFallbacks:
         tag = record.hashtag_b if record.fallback_b else record.hashtag_a
         assert tag.raw == "#noresponse"
         assert transcript.abort is None
+
+    @pytest.mark.parametrize("content", ["#ok\ud800", "\udfff", "#a \ud83d b"], ids=["trailing", "alone", "inside"])
+    def test_reply_that_is_not_unicode_text_is_malformed(self, stub_server, tmp_path, content):
+        # legal JSON, but no transcript can hold it: each attempt is malformed, so the side falls back
+        stub_server.script.extend([content] * 3)
+        out_path = tmp_path / "transcript.jsonl"
+        config = self._one_remote_config(stub_server.base_url)
+        transcript = run_simulation(config, out_path=out_path, network=Network.complete(4))
+        assert len(stub_server.requests) == 4  # three attempts in round 1, then the stub's '#stub' in round 2
+        flagged = [r for r in transcript.records if r.fallback_a or r.fallback_b]
+        assert [(r.round, r.unavailable_a or r.unavailable_b) for r in flagged] == [(1, True)]
+        assert transcript.abort is None
+        assert read_transcript(out_path) == transcript
 
     def test_guess_without_letter_or_digit_flags_fallback(self):
         agents = [AgentSpec(0, "mock", {"strategy": "constant:— …"})]
@@ -960,6 +1008,15 @@ class TestTranscriptIO:
                      r"line 2: invalid JSON \(Exceeds the limit", marks=DIGIT_LIMIT),
         pytest.param(1, lambda doc: json.dumps(doc, separators=(",", ":")).replace('"round":1', '"round":' + LONG_INTEGER),
                      r"line 2: invalid JSON \(Exceeds the limit", marks=DIGIT_LIMIT),
+        # a \u escape of a lone surrogate: legal JSON, but not text, on the template path and off it
+        (1, lambda doc: {**doc, "raw_a": doc["raw_a"] + "\ud800"}, "line 2: raw_a holds a lone surrogate"),
+        (2, lambda doc: json.dumps({**doc, "raw_b": "\udfff" + doc["raw_b"]}, separators=(",", ":")),
+         "line 3: raw_b holds a lone surrogate"),
+        (1, lambda doc: {**doc, "hashtag_a": {"raw": "#a\ud83d", "normalized": "a"}},
+         "line 2: hashtag_a.raw holds a lone surrogate"),
+        (0, lambda doc: {**doc, "narrative_id": "x\udbff"}, "line 1: narrative_id holds a lone surrogate"),
+        (0, lambda doc: {**doc, "note\ud800": 1}, r"line 1: 'note\\ud800' holds a lone surrogate"),
+        (-1, lambda doc: {"abort": True, "round": 2, "reason": "\ud800"}, r"line \d+: reason holds a lone surrogate"),
     ], ids=["header-array", "record-array", "record-null", "hashtag_a-string", "hashtag_b-string", "missing-field",
             "hashtag_a-missing-raw", "hashtag_b-missing-normalized", "points_a-without-match", "points_b-on-match",
             "header-edge-not-a-pair", "no-match-on-equal-hashtags", "match-on-distinct-hashtags",
@@ -967,7 +1024,9 @@ class TestTranscriptIO:
             "fallback_a-string", "fallback_b-zero", "match-one", "points_a-true", "points_b-float",
             "unavailable_a-string", "unavailable_b-false", "unavailable_a-without-fallback",
             "form-feed-after-the-value", "header-nested-arrays", "record-nested-arrays", "header-long-integer",
-            "written-record-long-integer", "compact-record-long-integer"])
+            "written-record-long-integer", "compact-record-long-integer", "written-raw-surrogate",
+            "compact-raw-surrogate", "hashtag-surrogate", "header-surrogate", "header-key-surrogate",
+            "abort-reason-surrogate"])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, edit, message):
         path = tmp_path / "t.jsonl"
         run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
@@ -978,6 +1037,17 @@ class TestTranscriptIO:
         with pytest.raises(TranscriptError, match=message) as caught:
             read_transcript(path)
         assert str(path) in str(caught.value)
+
+    def test_escaped_surrogate_pair_reads_as_its_character(self, tmp_path):
+        # json.dumps escapes U+1F600 as a pair, "😀", in a line the template path reads
+        path = tmp_path / "t.jsonl"
+        run_simulation(make_mock_config(n=6, rounds=2, seed=9), out_path=path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = {**json.loads(lines[1]), "raw_a": "#a \U0001F600"}
+        lines[1] = json.dumps(doc)
+        assert "\\ud83d\\ude00" in lines[1] and re.fullmatch(engine._WRITTEN_LINE, lines[1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_transcript(path).records[0].raw_a == "#a \U0001F600"
 
     @pytest.mark.parametrize("pair", [(0, 999), (0, 3)], ids=["foreign-agent", "non-edge"])
     def test_pair_outside_the_header_network_rejected(self, tmp_path, pair):
