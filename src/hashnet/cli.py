@@ -42,7 +42,6 @@ from .metrics import (
     VALUE_FORMAT,
     Embedder,
     HashingEmbedder,
-    MetricSeries,
     OneHotEmbedder,
     RemoteEmbedder,
     UnigramModel,
@@ -50,9 +49,12 @@ from .metrics import (
     build_unigram_model,
     corpus_digest,
     load_reference_corpus,
-    metric_series,
-    rank_abundance,
-    run_responses,
+    # Unused here: the commands take every metric from ``run_metrics``. hashbench/tracing.py times the series
+    # and the rank table by wrapping these two names on this module, and a name it cannot find makes every
+    # traced run report "not traced". ROADMAP item 1b's in-package spans replace the wrapping.
+    metric_series,  # noqa: F401
+    rank_abundance,  # noqa: F401
+    run_metrics,
     write_alignment_csv,
     write_csv,
     write_metadata,
@@ -350,45 +352,30 @@ def _reference_model(settings: MetricsSettings) -> UnigramModel | None:
     return build_unigram_model(load_reference_corpus(settings.reference_corpus), settings.tokenization)
 
 
-def _series(
-    transcript: Transcript, settings: MetricsSettings, model: UnigramModel | None, include_fallbacks: bool
-) -> dict[str, MetricSeries]:
-    """Entropy and dominant-share series, plus perplexity when ``model`` is
-    given, by metric name."""
-    names = ("entropy", "dominant_share") + (("perplexity",) if model is not None else ())
-    return {
-        name: metric_series(
-            transcript,
-            name,
-            model=model,
-            base=settings.entropy_base,
-            dedup=settings.dedup,
-            include_fallbacks=include_fallbacks,
-        )
-        for name in names
-    }
-
-
 def _metric_outputs(
     transcript: Transcript,
     loaded: LoadedConfig,
     out_dir: Path,
     *,
     include_fallbacks: bool,
+    digest: str,
 ) -> dict:
-    """Write every computable metric CSV; returns per-metric statuses."""
+    """Write every computable metric CSV, and ``metadata.json`` recording the
+    config ``digest``; returns per-metric statuses."""
     settings = loaded.metrics
     statuses: dict[str, str] = {}
     out_dir.mkdir(parents=True, exist_ok=True)
 
     model = _reference_model(settings)
-    for name, series in _series(transcript, settings, model, include_fallbacks).items():
+    run = run_metrics(transcript, model=model, base=settings.entropy_base, dedup=settings.dedup,
+                      include_fallbacks=include_fallbacks)
+    for name, series in run.series.items():
         write_series_csv(series, out_dir / f"{name}.csv")
         statuses[name] = "computed"
     if model is None:
         statuses["perplexity"] = "skipped: no reference corpus configured"
 
-    rac = rank_abundance(transcript, include_fallbacks=include_fallbacks)
+    rac = run.rank_abundance
     write_rank_abundance_csv(rac, out_dir / "rank_abundance.csv")
     statuses["rank_abundance"] = "computed"
 
@@ -396,9 +383,8 @@ def _metric_outputs(
     if not narrative.events:
         statuses["alignment"] = f"skipped: narrative {narrative.id!r} has no events"
     else:
-        hashtags = run_responses(transcript, include_fallbacks=include_fallbacks, form="raw")
         try:
-            alignment = align_hashtags(hashtags, narrative, loaded.embedder)
+            alignment = align_hashtags(run.hashtags, narrative, loaded.embedder)
             write_alignment_csv(alignment, out_dir / "alignment.csv")
             statuses["alignment"] = "computed"
         except EmbedderUnavailableError as err:
@@ -406,7 +392,7 @@ def _metric_outputs(
 
     metadata = {
         "transcript_run_id": transcript.header.get("run_id"),
-        "config_digest": config_digest(config_snapshot(loaded.run)),
+        "config_digest": digest,
         "seed": loaded.run.seed,
         "entropy_base": settings.entropy_base,
         "tokenization": settings.tokenization,
@@ -441,8 +427,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     transcript_path = Path(args.transcript)
     transcript = _read_whole_rounds(transcript_path)
     recorded, digest = transcript.header.get("config"), config_digest(config_snapshot(loaded.run))
-    if isinstance(recorded, dict) and config_digest(recorded) != digest:
-        print(f"warning: {transcript_path} was run with config digest {config_digest(recorded)}, but {args.config} "
+    recorded_digest = config_digest(recorded) if isinstance(recorded, dict) else digest
+    if recorded_digest != digest:
+        print(f"warning: {transcript_path} was run with config digest {recorded_digest}, but {args.config} "
               f"has digest {digest}; metadata.json records the latter", file=sys.stderr)
 
     if args.out:
@@ -453,7 +440,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         out_dir = transcript_path.parent / "metrics"
 
     statuses = _metric_outputs(
-        transcript, loaded, out_dir, include_fallbacks=not args.exclude_fallbacks
+        transcript, loaded, out_dir, include_fallbacks=not args.exclude_fallbacks, digest=digest
     )
     skipped = {name: status for name, status in statuses.items() if status != "computed"}
     for name, status in statuses.items():
@@ -482,13 +469,14 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{paths[label]} and {path} are both labelled {label!r}; give each run its own run_id"
             )
         paths[label] = path
-        for metric, series in _series(transcript, settings, model, include_fallbacks).items():
+        run = run_metrics(transcript, model=model, base=settings.entropy_base, dedup=settings.dedup,
+                          include_fallbacks=include_fallbacks)
+        for metric, series in run.series.items():
             series_rows.setdefault(metric, []).extend(
                 (label, round_index, format(value, VALUE_FORMAT)) for round_index, value in series.values
             )
-        rac = rank_abundance(transcript, include_fallbacks=include_fallbacks)
         rac_rows.extend(
-            (label, rank, tag, count) for rank, (tag, count) in enumerate(rac.table, start=1)
+            (label, rank, tag, count) for rank, (tag, count) in enumerate(run.rank_abundance.table, start=1)
         )
 
     out_dir = Path(args.out) if args.out else (loaded.metrics_dir or Path("report"))

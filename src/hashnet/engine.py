@@ -588,8 +588,12 @@ class RunConfig(NamedTuple):
     def violations(self, *, graph_n: int | None = None) -> list[ConfigError]:
         """``graph_n`` overrides the agent-count source when a pre-built
         network is injected; the Watts-Strogatz constraints then do not
-        apply (the spec fields are recorded but unused)."""
-        found = []
+        apply (the spec fields are recorded but unused). A string holding a
+        lone surrogate is the first violation, named by its path in this
+        object (``agents[0].backend_params.lexicon[0]``), as the config
+        parser names it in the document."""
+        where = surrogate_at(self)
+        found = [] if where is None else [ConfigError(where, NOT_UNICODE)]
         if graph_n is None:
             found += self.topology.violations()
             graph_n = self.topology.n
@@ -677,7 +681,8 @@ def run_simulation(
     after fallbacks, the run aborts: completed records are kept and an
     explicit abort marker ends the transcript. A replay backend with no
     recorded response also ends the transcript with an abort marker, then
-    its ``ReplayGapError`` propagates.
+    its ``ReplayGapError`` propagates, and so does any other exception that
+    escapes a round, after a marker whose reason is ``"<Type>: <message>"``.
     """
     config.validate(graph_n=network.n if network is not None else None)
     narrative = load_narrative(config.narrative_path)
@@ -728,43 +733,46 @@ def _play(config: RunConfig, narrative: FocalNarrative, backends: dict[int, Back
 
         _write_line(handle, [header])
         for round_index in range(1, config.rounds + 1):
-            pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
-            participants = [agent for pair in pairing.pairs for agent in pair]
-
-            def invoke(agent: int) -> str | None:
-                request = new(BackendRequest, (round_index, agent, event_text, decode, histories[agent]))
-                stream = rng_streams.agent_stream(seed, round_index, agent)
-                try:
-                    return backends[agent].respond(request, stream).raw_text
-                except BackendUnavailableError:
-                    return None
-
             try:
+                pairing = pair_round(network, round_index, rng_streams.pairing_rng(config.seed, round_index))
+                participants = [agent for pair in pairing.pairs for agent in pair]
+
+                def invoke(agent: int) -> str | None:
+                    request = new(BackendRequest, (round_index, agent, event_text, decode, histories[agent]))
+                    stream = rng_streams.agent_stream(seed, round_index, agent)
+                    try:
+                        return backends[agent].respond(request, stream).raw_text
+                    except BackendUnavailableError:
+                        return None
+
                 # The texts of each pair's two agents, in turn.
                 texts = iter([invoke(agent) for agent in participants] if pool is None
                              else list(pool.map(invoke, participants)))
-            except ReplayGapError as err:
-                stop(round_index, str(err))
+
+                round_records: list[InteractionRecord] = []
+                for (a, b), text_a, text_b in zip(pairing.pairs, texts, texts):
+                    raw_a, tag_a, fb_a = _finalize(text_a, histories[a])
+                    raw_b, tag_b, fb_b = _finalize(text_b, histories[b])
+                    match = tag_a[form] == tag_b[form]
+                    points = 1 if match else 0
+                    round_records.append(new(InteractionRecord, (
+                        round_index, a, b, raw_a, raw_b, tag_a, tag_b, match, points, points, fb_a, fb_b,
+                        text_a is None, text_b is None,  # unavailable_a, unavailable_b
+                    )))
+                extend_histories(histories, round_records)
+                transcript.records += round_records
+                _write_line(handle, round_records)
+
+                unavailable_pairs = sum(record.unavailable_a or record.unavailable_b for record in round_records)
+                if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):
+                    stop(round_index, f"backend unavailable for {unavailable_pairs} of {len(pairing.pairs)} pairs")
+                    break
+            except Exception as err:
+                # A replay gap gives its own reason; any other crash names its type, so the file never reads as
+                # a clean run that ended early. Escaped, the reason can always be written.
+                reason = str(err) if isinstance(err, ReplayGapError) else f"{type(err).__name__}: {err}"
+                stop(round_index, reason.encode("utf-8", "backslashreplace").decode("utf-8"))
                 raise
-
-            round_records: list[InteractionRecord] = []
-            for (a, b), text_a, text_b in zip(pairing.pairs, texts, texts):
-                raw_a, tag_a, fb_a = _finalize(text_a, histories[a])
-                raw_b, tag_b, fb_b = _finalize(text_b, histories[b])
-                match = tag_a[form] == tag_b[form]
-                points = 1 if match else 0
-                round_records.append(new(InteractionRecord, (
-                    round_index, a, b, raw_a, raw_b, tag_a, tag_b, match, points, points, fb_a, fb_b,
-                    text_a is None, text_b is None,  # unavailable_a, unavailable_b
-                )))
-            extend_histories(histories, round_records)
-            transcript.records += round_records
-            _write_line(handle, round_records)
-
-            unavailable_pairs = sum(record.unavailable_a or record.unavailable_b for record in round_records)
-            if pairing.pairs and unavailable_pairs > 0.5 * len(pairing.pairs):
-                stop(round_index, f"backend unavailable for {unavailable_pairs} of {len(pairing.pairs)} pairs")
-                break
 
     return transcript
 

@@ -1,6 +1,7 @@
 """Exception types and value checks shared across the package."""
 
 import math
+from collections.abc import Mapping
 
 
 class HashnetError(Exception):
@@ -59,28 +60,42 @@ NOT_UNICODE = "holds a lone surrogate (a code point in U+D800..U+DFFF), which is
 
 
 def surrogate_at(value, path: str = "") -> str | None:
-    """Where a decoded JSON value holds a lone surrogate: the path, from
-    ``path`` on, of the first key or string that holds one (``a.b[2]``; a
-    key that holds one is named by its ``repr``), or None. JSON can escape
-    one (``"\\ud800"``, RFC 8259 §8.2), but UTF-8 cannot encode it, and
-    I-JSON forbids it (RFC 7493 §2.1)."""
+    """Where a value holds a lone surrogate: the path, from ``path`` on, of
+    the first key or string that holds one (``a.b[2]``; a key that holds one
+    is named by its ``repr``), or None. JSON can escape one (``"\\ud800"``,
+    RFC 8259 §8.2), but UTF-8 cannot encode it, and I-JSON forbids it (RFC
+    7493 §2.1). Besides decoded JSON, a named tuple is walked by its field
+    names, any other tuple as a list and any mapping as a dict, so a config
+    object is named in its own terms."""
+    return _surrogate_path(value, path, set())
+
+
+def _surrogate_path(value, path: str, clean: set[int]) -> str | None:
+    """``surrogate_at``; ``clean`` holds the ids of the containers already
+    walked without finding one, so a container that many places share, such
+    as the params of agents expanded from one spec, is walked once."""
     if isinstance(value, str):
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
             return path
-    elif isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+    elif isinstance(value, (dict, list, tuple, Mapping)) and id(value) not in clean:
+        if isinstance(value, Mapping):
+            items = value.items()
+        else:
+            items = zip(value._fields, value) if hasattr(value, "_fields") else enumerate(value)
+        for key, item in items:
             if isinstance(key, int):
                 where = f"{path}[{key}]"
             else:
-                name = key if surrogate_at(key) is None else repr(key)
+                name = key if _surrogate_path(key, "", clean) is None else repr(key)
                 where = f"{path}.{name}" if path else name
                 if name is not key:
                     return where
-            found = surrogate_at(item, where)
+            found = _surrogate_path(item, where, clean)
             if found is not None:
                 return found
+        clean.add(id(value))
     return None
 
 

@@ -4,6 +4,8 @@ embedding-based narrative alignment.
 
 Everything here is a pure read-only function of a transcript; computing
 from a file read back off disk gives exactly the in-memory results.
+``run_metrics`` takes every whole-run metric from one walk over the
+rounds, and the one-metric functions take the same per-round step.
 Entropy, dominant share and ``hashtag``-tokenized perplexity read each
 hashtag's normalized form, which the reader checks against its raw text;
 ``words`` perplexity tokenizes the raw text.
@@ -19,11 +21,11 @@ import zlib
 from collections import Counter
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, Union
 
 from .agents import HttpClient
 from .engine import InteractionRecord, Transcript, normalize_hashtag
-from .errors import ConfigError, EmbedderUnavailableError, MetricError, is_integer, require_text
+from .errors import ConfigError, EmbedderUnavailableError, HashnetError, MetricError, is_integer, require_text
 from .narrative import FocalNarrative
 
 DEDUP_POLICIES = ("per_response", "unique")
@@ -42,10 +44,6 @@ class HashtagDistribution(NamedTuple):
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    @classmethod
-    def from_responses(cls, normalized: Iterable[str]) -> "HashtagDistribution":
-        return cls(counts=dict(Counter(normalized)))
 
 
 class MetricSeries(NamedTuple):
@@ -70,30 +68,48 @@ class AlignmentResult(NamedTuple):
     counts: Mapping[str, int]
 
 
-def _responses(
-    records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool, form: str
-) -> list[str]:
-    """Hashtags of one round's records, two per record, in record order."""
+def _kept(
+    records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool
+) -> tuple[list[str], list[str]]:
+    """The raw and the normalized hashtags of one round's records, two per
+    record in record order, a fallback side only with ``include_fallbacks``:
+    the one per-round step every metric takes."""
     if not records:
         raise MetricError(f"transcript has no records for round {round_index}")
-    index = 0 if form == "raw" else 1  # the form's field of Hashtag
-    out: list[str] = []
+    raw: list[str] = []
+    normalized: list[str] = []
     for record in records:
         if include_fallbacks or not record.fallback_a:
-            out.append(record.hashtag_a[index])
+            tag = record.hashtag_a
+            raw.append(tag[0])
+            normalized.append(tag[1])
         if include_fallbacks or not record.fallback_b:
-            out.append(record.hashtag_b[index])
-    return out
+            tag = record.hashtag_b
+            raw.append(tag[0])
+            normalized.append(tag[1])
+    return raw, normalized
 
 
-def _distribution(responses: list[str], round_index: int, dedup: str) -> HashtagDistribution:
+def _walk(transcript: Transcript, include_fallbacks: bool) -> Iterator[tuple[int, tuple[list[str], list[str]]]]:
+    """``(round, (raw, normalized))`` of every completed round, in order, from
+    one ``rounds()``."""
+    for round_index, records in enumerate(transcript.rounds(), start=1):
+        yield round_index, _kept(records, round_index, include_fallbacks)
+
+
+def _form_index(form: str) -> int:
+    return 0 if form == "raw" else 1  # the form's field of Hashtag
+
+
+def _distribution(counts: Mapping[str, int], round_index: int, dedup: str) -> HashtagDistribution:
+    """The distribution of one round's first-occurrence ``Counter``."""
     if dedup not in DEDUP_POLICIES:
         raise ConfigError("dedup", f"must be one of {DEDUP_POLICIES}, got {dedup!r}")
-    if not responses:
+    if not counts:
         raise MetricError(f"round {round_index} has no responses after exclusions")
     if dedup == "unique":
-        responses = sorted(set(responses))
-    return HashtagDistribution.from_responses(responses)
+        return HashtagDistribution(counts=dict.fromkeys(sorted(counts), 1))
+    return HashtagDistribution(counts=dict(counts))
 
 
 def round_responses(
@@ -105,7 +121,7 @@ def round_responses(
 ) -> list[str]:
     """Hashtags of every paired agent in one round, two per record, in
     canonical record order. ``form`` selects raw or normalized text."""
-    return _responses(transcript.records_for_round(round_index), round_index, include_fallbacks, form)
+    return _kept(transcript.records_for_round(round_index), round_index, include_fallbacks)[_form_index(form)]
 
 
 def run_responses(
@@ -113,11 +129,8 @@ def run_responses(
 ) -> list[str]:
     """``round_responses`` of every completed round, concatenated in round
     order."""
-    return [
-        tag
-        for round_index, records in enumerate(transcript.rounds(), start=1)
-        for tag in _responses(records, round_index, include_fallbacks, form)
-    ]
+    index = _form_index(form)
+    return [tag for _, forms in _walk(transcript, include_fallbacks) for tag in forms[index]]
 
 
 def round_distribution(
@@ -133,7 +146,7 @@ def round_distribution(
     distinct hashtag once.
     """
     responses = round_responses(transcript, round_index, include_fallbacks=include_fallbacks)
-    return _distribution(responses, round_index, dedup)
+    return _distribution(Counter(responses), round_index, dedup)
 
 
 def shannon_entropy(dist: HashtagDistribution, base: float = 2.0) -> float:
@@ -386,6 +399,16 @@ def align_hashtags(
 # --- whole-run and per-round metrics ------------------------------------------
 
 
+def _rank_abundance(counts: Counter, k: int) -> RankAbundance:
+    """The rank table and full-distribution entropy of a run's counts, whose
+    insertion order is first occurrence over the run."""
+    if not counts:
+        raise MetricError("transcript has no responses after exclusions")
+    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    full_entropy = shannon_entropy(HashtagDistribution(counts=dict(counts)))
+    return RankAbundance(table=tuple(ordered[:k]), entropy=full_entropy)
+
+
 def rank_abundance(
     transcript: Transcript, k: int = 10, *, include_fallbacks: bool = True
 ) -> RankAbundance:
@@ -393,12 +416,10 @@ def rank_abundance(
     lexicographically) plus the entropy of the full distribution."""
     if not transcript.records:
         raise MetricError("transcript has no records")
-    counts = Counter(run_responses(transcript, include_fallbacks=include_fallbacks))
-    if not counts:
-        raise MetricError("transcript has no responses after exclusions")
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    full_entropy = shannon_entropy(HashtagDistribution(counts=dict(counts)))
-    return RankAbundance(table=tuple(ordered[:k]), entropy=full_entropy)
+    counts: Counter = Counter()
+    for _, (_, normalized) in _walk(transcript, include_fallbacks):
+        counts.update(normalized)
+    return _rank_abundance(counts, k)
 
 
 def metric_series(
@@ -421,33 +442,91 @@ def metric_series(
         raise MetricError("perplexity requires a unigram reference model")
 
     values: list[tuple[int, float]] = []
-    for round_index, records in enumerate(transcript.rounds(), start=1):
+    for round_index, forms in _walk(transcript, include_fallbacks):
         if metric == "perplexity":
             assert model is not None
-            value = _round_perplexity(model, records, round_index, include_fallbacks)
+            value = _round_perplexity(model, forms, round_index)
         else:
-            responses = _responses(records, round_index, include_fallbacks, "normalized")
-            dist = _distribution(responses, round_index, dedup)
+            dist = _distribution(Counter(forms[1]), round_index, dedup)
             value = shannon_entropy(dist, base) if metric == "entropy" else dominant_share(dist)
         values.append((round_index, value))
     return MetricSeries(name=metric, values=tuple(values))
 
 
-def _round_perplexity(
-    model: UnigramModel, records: Sequence[InteractionRecord], round_index: int, include_fallbacks: bool
-) -> float:
+def _round_perplexity(model: UnigramModel, forms: tuple[list[str], list[str]], round_index: int) -> float:
     """``perplexity`` of one round's raw hashtags; its errors name the round.
     In ``hashtag`` tokenization its tokens are the nonempty normalized forms,
     which the reader and the engine keep equal to ``normalize_hashtag(raw)``,
     so no hashtag is normalized again."""
     hashtag = model.tokenization == "hashtag"
-    responses = _responses(records, round_index, include_fallbacks, "normalized" if hashtag else "raw")
+    responses = forms[1] if hashtag else forms[0]
     try:
         if hashtag and responses:
             return _perplexity(model, list(filter(None, responses)))
         return perplexity(model, responses)
     except MetricError as err:
         raise MetricError(f"round {round_index}: {err}") from err
+
+
+class RunMetrics(NamedTuple):
+    """Every whole-run metric of one transcript: the series by name
+    (perplexity only with a model), the rank table, and the raw hashtags in
+    run order, for ``align_hashtags``."""
+
+    series: Mapping[str, MetricSeries]
+    rank_abundance: RankAbundance
+    hashtags: list[str]
+
+
+def run_metrics(
+    transcript: Transcript,
+    *,
+    model: UnigramModel | None = None,
+    base: float = 2.0,
+    dedup: str = "per_response",
+    include_fallbacks: bool = True,
+    k: int = 10,
+) -> RunMetrics:
+    """``metric_series`` of each series, ``rank_abundance`` and the raw
+    ``run_responses``, with the same values and errors, from one walk over
+    the rounds.
+
+    Each round's hashtags are kept once, and one first-occurrence
+    ``Counter`` feeds entropy, dominant share and the run's counts, which
+    it extends in round order, so the rank table and its entropy are the
+    same floats. The first error is the one the separate calls, in that
+    order, raise first: an entropy error in any round comes before a
+    perplexity error in an earlier one."""
+    if not transcript.records:
+        raise MetricError("transcript has no records")
+    entropy: list[tuple[int, float]] = []
+    dominant: list[tuple[int, float]] = []
+    perplexities: list[tuple[int, float]] = []
+    perplexity_error: HashnetError | None = None
+    counts: Counter = Counter()
+    hashtags: list[str] = []
+    for round_index, forms in _walk(transcript, include_fallbacks):
+        round_counts = Counter(forms[1])
+        dist = _distribution(round_counts, round_index, dedup)
+        entropy.append((round_index, shannon_entropy(dist, base)))
+        dominant.append((round_index, dominant_share(dist)))
+        if model is not None and perplexity_error is None:
+            try:
+                perplexities.append((round_index, _round_perplexity(model, forms, round_index)))
+            except HashnetError as err:
+                perplexity_error = err
+        counts.update(round_counts)
+        hashtags += forms[0]
+    if perplexity_error is not None:
+        raise perplexity_error
+    series = {"entropy": entropy, "dominant_share": dominant}
+    if model is not None:
+        series["perplexity"] = perplexities
+    return RunMetrics(
+        series={name: MetricSeries(name=name, values=tuple(values)) for name, values in series.items()},
+        rank_abundance=_rank_abundance(counts, k),
+        hashtags=hashtags,
+    )
 
 
 # --- CSV output ----------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hashnet import AgentSpec, ConfigError, RunConfig, TopologySpec, read_transcript, run_simulation
+from hashnet import (
+    AgentSpec, ConfigError, Hashtag, RunConfig, TopologySpec, read_transcript, run_simulation, write_transcript,
+)
 from hashnet.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main, validate_config
 from hashnet.engine import config_digest
 
@@ -374,6 +376,24 @@ class TestEachInputBuiltOnce:
             assert run_cli(*argv, "--config", str(demo_config_path)) == EXIT_OK
             assert (counts["MockBackend"], counts["HashingEmbedder"]) == (20, 1), argv
 
+    def test_metrics_and_report_walk_each_transcript_once(self, demo_config_path, tmp_path, monkeypatch):
+        from hashnet import engine
+
+        calls = []
+        rounds = engine.Transcript.rounds
+        monkeypatch.setattr(engine.Transcript, "rounds", lambda self: calls.append(self) or rounds(self))
+        paths = []
+        for seed in ("7", "17"):
+            assert run_cli("simulate", "--config", str(demo_config_path), "--seed", seed,
+                           "--out", str(tmp_path / seed)) == EXIT_OK
+            paths.append(str(tmp_path / seed / "transcript.jsonl"))
+        calls.clear()
+        assert run_cli("metrics", paths[0], "--config", str(demo_config_path), "--out", str(tmp_path / "m")) == EXIT_OK
+        assert len(calls) == 1
+        calls.clear()
+        assert run_cli("report", *paths, "--config", str(demo_config_path), "--out", str(tmp_path / "r")) == EXIT_OK
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
 
 class TestSimulate:
     def test_demo_digest_and_replay_cross_check(self, demo_config_path, tmp_path, capsys):
@@ -723,6 +743,51 @@ class TestMetrics:
                        "--out", str(tmp_path / "m"), "--exclude-fallbacks")
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == "error: round 1 has no responses after exclusions\n"
+
+    @staticmethod
+    def _edited_run(tmp_path, edits, metrics=None):
+        """A constant-mock run whose rounds in ``edits`` are rewritten: every
+        side a fallback, or every hashtag one that normalizes to nothing."""
+        doc = small_mock_doc(metrics={"reference_corpus": str(FIXTURES / "fixture_corpus.txt")}
+                             if metrics is None else metrics)
+        config = write_config(tmp_path, doc)
+        path = tmp_path / "run" / "transcript.jsonl"
+        assert run_cli("simulate", "--config", str(config), "--out", str(path.parent)) == EXIT_OK
+        transcript = read_transcript(path)
+        empty = Hashtag.from_raw("!!!")
+        for i, record in enumerate(transcript.records):
+            if edits.get(record.round) == "fallback":
+                transcript.records[i] = record._replace(fallback_a=True, fallback_b=True)
+            elif edits.get(record.round) == "empty":
+                transcript.records[i] = record._replace(raw_a="!!!", raw_b="!!!", hashtag_a=empty, hashtag_b=empty)
+        write_transcript(transcript, path)
+        return path, config
+
+    @pytest.mark.parametrize("edits, message", [
+        ({2: "fallback"}, "round 2 has no responses after exclusions"),
+        ({1: "empty", 2: "fallback"}, "round 2 has no responses after exclusions"),  # entropy's error wins
+        ({1: "empty"}, "round 1: responses contain no usable tokens"),
+    ], ids=["round-without-responses", "entropy-error-after-perplexity-error", "perplexity-error"])
+    def test_a_failing_round_writes_no_metric_file(self, tmp_path, capsys, edits, message):
+        path, config = self._edited_run(tmp_path, edits)
+        capsys.readouterr()
+        out_dir = tmp_path / "m"
+        code = run_cli("metrics", str(path), "--config", str(config), "--out", str(out_dir), "--exclude-fallbacks")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out_dir.is_dir() and not any(out_dir.iterdir())
+
+    def test_config_without_a_corpus_writes_every_other_file(self, tmp_path, capsys):
+        path, config = self._edited_run(tmp_path, {1: "empty"}, metrics={})
+        out_dir = tmp_path / "m"
+        assert run_cli("metrics", str(path), "--config", str(config), "--out", str(out_dir)) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "alignment.csv", "dominant_share.csv", "entropy.csv", "metadata.json", "rank_abundance.csv"]
+        statuses = json.loads((out_dir / "metadata.json").read_text(encoding="utf-8"))["statuses"]
+        assert statuses == {"entropy": "computed", "dominant_share": "computed",
+                            "perplexity": "skipped: no reference corpus configured",
+                            "rank_abundance": "computed", "alignment": "computed"}
+        assert (out_dir / "entropy.csv").read_text(encoding="utf-8") == "round,value\n1,0\n2,0\n3,0\n"
 
     def test_partial_last_round_is_refused_and_still_replays(self, demo_config_path, tmp_path, capsys):
         run_dir = tmp_path / "run"

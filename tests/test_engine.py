@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hashnet import (
     AgentSpec,
+    ConfigError,
     Hashtag,
     InteractionRecord,
     Network,
@@ -40,6 +41,7 @@ from hashnet import agents, engine
 from hashnet import rng as rng_streams
 from hashnet.agents import SCORING_PARAGRAPH, History, parse_interaction_table
 from hashnet.engine import config_digest, config_snapshot, extend_histories
+from hashnet.errors import NOT_UNICODE
 
 from conftest import DIGIT_LIMIT, FIXTURES, LONG_INTEGER, NESTED_ARRAYS, REPO, make_mock_config
 from oracles import mock_run_bytes, prompt_reference
@@ -533,6 +535,21 @@ class TestRunSimulation:
         assert transcript.records == written.records
         assert transcript.rounds_completed() == rounds
 
+    def test_library_path_refuses_a_lone_surrogate_before_opening_a_file(self, tmp_path):
+        # the parser's rule on the RunConfig itself, named by its path there
+        config = RunConfig(
+            topology=TopologySpec(n=4, k=2, p=0.0),
+            rounds=2,
+            agents=tuple(AgentSpec(i, "mock", {"strategy": "imitate", "lexicon": ["#ok\ud800"]}) for i in range(4)),
+            narrative_path="bundled:fukushima",
+        )
+        out = tmp_path / "run.jsonl"
+        with pytest.raises(ConfigError) as caught:
+            run_simulation(config, out_path=out)
+        assert caught.value.field == "agents[0].backend_params.lexicon[0]"
+        assert caught.value.message == NOT_UNICODE
+        assert not out.exists()
+
 
 class TestWholeRun:
     @given(
@@ -776,6 +793,59 @@ class TestFallbacks:
         reloaded = read_transcript(out)
         assert reloaded.abort == transcript.abort
         assert len(reloaded.records) == len(transcript.records)
+
+
+class TestCrashMarker:
+    """An exception that escapes a round after the header is written leaves
+    an abort marker naming it, then propagates."""
+
+    @staticmethod
+    def crashing(fail_round: int, message: str):
+        build = engine.build_backends
+
+        class Crashing:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def respond(self, req, rng):
+                if req.round == fail_round:
+                    raise RuntimeError(message)
+                return self.inner.respond(req, rng)
+
+        return mock.patch.object(engine, "build_backends",
+                                 lambda specs: {i: Crashing(b) for i, b in build(specs).items()})
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("fail_round", [1, 3])
+    def test_crash_leaves_a_marker_naming_it(self, tmp_path, fail_round, parallelism):
+        config = make_mock_config(n=8, rounds=5, seed=2, parallelism=parallelism)
+        out = tmp_path / "crashed.jsonl"
+        with self.crashing(fail_round, "backend exploded"), pytest.raises(RuntimeError, match="backend exploded"):
+            run_simulation(config, out_path=out)
+        reloaded = read_transcript(out)
+        assert reloaded.abort == {"abort": True, "round": fail_round, "reason": "RuntimeError: backend exploded"}
+        assert not reloaded.partial
+        assert reloaded.rounds_completed() == fail_round - 1
+        finished = run_simulation(config._replace(rounds=fail_round - 1)).records if fail_round > 1 else []
+        assert reloaded.records == finished
+
+    def test_a_reason_utf8_cannot_hold_is_escaped(self, tmp_path):
+        out = tmp_path / "crashed.jsonl"
+        with self.crashing(1, "bad \ud800 text"), pytest.raises(RuntimeError):
+            run_simulation(make_mock_config(n=4, k=2, rounds=2), out_path=out)
+        assert read_transcript(out).abort["reason"] == "RuntimeError: bad \\ud800 text"
+
+    def test_replay_gap_marker_keeps_its_bytes(self, tmp_path):
+        config = make_mock_config(n=6, rounds=2, seed=4)
+        source = tmp_path / "source.jsonl"
+        run_simulation(config, out_path=source)
+        replay = tuple(AgentSpec(i, "replay", {"transcript": str(source)}) for i in range(6))
+        out = tmp_path / "replayed.jsonl"
+        with pytest.raises(ReplayGapError) as caught:
+            run_simulation(config._replace(rounds=3, agents=replay), out_path=out)
+        assert str(caught.value).startswith("no recorded response for agent ")
+        last = out.read_text(encoding="utf-8").splitlines()[-1]
+        assert last == json.dumps({"abort": True, "round": 3, "reason": str(caught.value)}, ensure_ascii=False)
 
 
 class CountingList(list):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashnet import (
@@ -27,6 +27,7 @@ from hashnet import (
     rank_abundance,
     read_transcript,
     round_distribution,
+    run_metrics,
     run_simulation,
     shannon_entropy,
     write_transcript,
@@ -35,7 +36,9 @@ from hashnet.metrics import HashingEmbedder, _embedding_rows, round_responses, r
 from hashnet.narrative import FocalNarrative, NarrativeEvent
 
 from conftest import FIXTURES, make_mock_config
-from oracles import align_bruteforce, entropy_mp, perplexity_mp, read_jsonl, responses, tally_round
+from oracles import (
+    align_bruteforce, entropy_mp, normalize_reference, perplexity_mp, read_jsonl, responses, tally_all, tally_round,
+)
 from test_engine import hostile_transcripts, make_record
 
 
@@ -557,3 +560,108 @@ def test_responses_equal_the_json_oracle(transcript):
 def test_round_responses_raw_form(fixture_transcript):
     raw = round_responses(fixture_transcript, 1, form="raw")
     assert raw == ["#storm", "#Storm!", "#storm", "#storm"]
+
+
+ORACLE_CORPUS = ["#a", "#A! b", "#福島", "#Straße 1", "#noresponse"]
+
+
+def _oracle_tokens(texts, tokenization):
+    """Tokens as the README defines them: each whole text, or each
+    whitespace-split word, normalized; empty tokens dropped."""
+    pieces = texts if tokenization == "hashtag" else [word for text in texts for word in text.split()]
+    return [token for token in map(normalize_reference, pieces) if token]
+
+
+def _oracle_run(docs, rounds, *, include_fallbacks, dedup, tokenization, base, k):
+    """Series, rank table and raw hashtags of a run straight off its record
+    objects, or the message of the first error: an entropy error in any
+    round before a perplexity error in any round."""
+    entropy, dominant, perplexities = [], [], []
+    perplexity_error = None
+    for round_index in range(1, rounds + 1):
+        counts = tally_round(docs, round_index, include_fallbacks=include_fallbacks)
+        if not counts:
+            return f"round {round_index} has no responses after exclusions"
+        if dedup == "unique":
+            counts = {tag: 1 for tag in counts}
+        entropy.append((round_index, float(entropy_mp(counts, base))))
+        dominant.append((round_index, max(counts.values()) / sum(counts.values())))
+        field = "normalized" if tokenization == "hashtag" else "raw"
+        tokens = _oracle_tokens(
+            responses(docs, round_index, include_fallbacks=include_fallbacks, form=field), tokenization)
+        if not tokens:
+            perplexity_error = perplexity_error or f"round {round_index}: responses contain no usable tokens"
+        else:
+            corpus_tokens = _oracle_tokens(ORACLE_CORPUS, tokenization)
+            perplexities.append((round_index, float(perplexity_mp(corpus_tokens, tokens))))
+    if perplexity_error:
+        return perplexity_error
+    totals = tally_all(docs, include_fallbacks=include_fallbacks)
+    table = sorted(totals.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return (entropy, dominant, perplexities, table, float(entropy_mp(dict(totals))),
+            responses(docs, include_fallbacks=include_fallbacks, form="raw"))
+
+
+class TestRunMetrics:
+    """``run_metrics``, the one walk ``hashnet metrics`` and ``report`` take,
+    against the oracles and against the separate walks."""
+
+    @given(
+        transcript=hostile_transcripts(),
+        include_fallbacks=st.booleans(),
+        dedup=st.sampled_from(("per_response", "unique")),
+        tokenization=st.sampled_from(("hashtag", "words")),
+        base=st.sampled_from((2.0, math.e, 10.0, 1.5)),
+        k=st.integers(1, 12),
+    )
+    # round 1's forms all normalize to nothing, and round 2 is all fallbacks: entropy's error must win
+    @example(transcript=Transcript(header={"run_id": "x", "network_edges": [[0, 1]]}, records=[
+        make_record(1, 0, 1, "###", "!?"), make_record(2, 0, 1, "#a", "#b", fb_a=True, fb_b=True)]),
+        include_fallbacks=False, dedup="per_response", tokenization="hashtag", base=2.0, k=10)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_oracles_and_the_separate_walks(self, transcript, include_fallbacks, dedup, tokenization,
+                                                       base, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "t.jsonl")
+            write_transcript(transcript, path)
+            transcript = read_transcript(path)
+            _, docs = read_jsonl(path)
+        model = build_unigram_model(ORACLE_CORPUS, tokenization)
+        options = {"base": base, "dedup": dedup, "include_fallbacks": include_fallbacks}
+        expected = _oracle_run(docs, transcript.rounds_completed(), include_fallbacks=include_fallbacks, dedup=dedup,
+                               tokenization=tokenization, base=base, k=k)
+
+        # the separate walks, in the order the commands took them before
+        separate, error = {}, None
+        try:
+            for name in ("entropy", "dominant_share", "perplexity"):
+                separate[name] = metric_series(transcript, name, model=model, **options)
+            separate["rank"] = rank_abundance(transcript, k, include_fallbacks=include_fallbacks)
+        except MetricError as err:
+            error = err
+
+        if isinstance(expected, str):
+            with pytest.raises(MetricError) as caught:
+                run_metrics(transcript, model=model, k=k, **options)
+            assert str(caught.value) == str(error) == expected
+            return
+        assert error is None
+        run = run_metrics(transcript, model=model, k=k, **options)
+        entropy, dominant, perplexities, table, full_entropy, raw = expected
+        assert list(run.series) == ["entropy", "dominant_share", "perplexity"]
+        for name, oracle in zip(run.series, (entropy, dominant, perplexities)):
+            assert run.series[name] == separate[name]  # the same floats
+            values = run.series[name].values
+            assert [r for r, _ in values] == [r for r, _ in oracle]
+            for (_, value), (_, want) in zip(values, oracle):
+                assert value == pytest.approx(want, rel=1e-9, abs=1e-12), name
+        assert run.rank_abundance == separate["rank"]
+        assert list(run.rank_abundance.table) == table
+        assert run.rank_abundance.entropy == pytest.approx(full_entropy, rel=1e-9, abs=1e-12)
+        assert run.hashtags == raw == run_responses(transcript, include_fallbacks=include_fallbacks, form="raw")
+        without_model = run._replace(series={name: run.series[name] for name in ("entropy", "dominant_share")})
+        assert run_metrics(transcript, k=k, **options) == without_model
+
+    def test_no_records(self):
+        with pytest.raises(MetricError, match="^transcript has no records$"):
+            run_metrics(Transcript(header={}, records=[]))
